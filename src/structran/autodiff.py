@@ -450,16 +450,24 @@ def softmax(a: Node, tau: float = 1.0, axis: int = -1) -> Node:
     return make_node(v, (a,), bw)
 
 
+def lse_softmax(x: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
+    """log sum exp of x along `axis` (kept as a size-1 axis) and the softmax.
+
+    The max shift keeps every exponent at or below zero.  A slice that is
+    all -inf gives -inf with all-zero weights.
+    """
+    m = np.max(x, axis=axis, keepdims=True)
+    m = np.where(m > -np.inf, m, 0.0)
+    e = np.exp(x - m)
+    s = e.sum(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore"):
+        v = np.log(s) + m
+    return v, e / np.where(s > 0.0, s, 1.0)
+
+
 def log_sum_exp(a: Node, axis=None, keepdims: bool = False) -> Node:
     a = _wrap(a)
-    x = a.value
-    m = np.max(x, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    # shift bounds the exponents above; the clamp is a belt-and-braces guard
-    e = np.exp(np.clip(x - m, -80.0, 80.0))
-    s = e.sum(axis=axis, keepdims=True)
-    v = np.log(s) + m
-    soft = e / s
+    v, soft = lse_softmax(a.value, axis)
     if not keepdims:
         v = v.reshape(()) if axis is None else np.squeeze(v, axis=axis)
 

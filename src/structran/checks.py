@@ -59,20 +59,6 @@ def _weighted(node: ad.Node) -> ad.Node:
     return ad.sum_(node * w)
 
 
-def _force_log_space(build: Callable) -> Callable:
-    """Run a fertility case with the log-space fallback always on."""
-
-    def wrapped(nodes):
-        saved = fertility.UNDERFLOW_GUARD
-        fertility.UNDERFLOW_GUARD = float("inf")
-        try:
-            return build(nodes)
-        finally:
-            fertility.UNDERFLOW_GUARD = saved
-
-    return wrapped
-
-
 def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
     """(name, build, arrays) for every autodiff op and both DP layers."""
     rng = np.random.default_rng(seed)
@@ -137,11 +123,6 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
     def as_table(node):
         return fertility.FertilityTable(ad.softmax(node, axis=-1))
 
-    def len_tables(n):
-        tabs = fertility.length_tables(as_table(n[0]))
-        return _weighted(tabs.forward) + _weighted(tabs.backward)
-
-    case("fertility.length_tables", len_tables, [r((4, 3)) * 2.0])
     case("fertility.length_distribution",
          lambda n: _weighted(fertility.length_distribution(as_table(n[0]))),
          [r((4, 3)) * 2.0])
@@ -151,37 +132,25 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
     case("fertility.marginal",
          lambda n: _weighted(fertility.marginal_fertility(as_table(n[0]), 5).tensor),
          [r((4, 4)) * 2.0])
-    case("fertility.marginal.logspace",
-         _force_log_space(
-             lambda n: _weighted(fertility.marginal_fertility(as_table(n[0]), 4).tensor)),
+    case("fertility.marginal.l4",
+         lambda n: _weighted(fertility.marginal_fertility(as_table(n[0]), 4).tensor),
          [r((3, 4)) * 2.0])
-    case("fertility.loglen.logspace",
-         _force_log_space(
-             lambda n: fertility.log_length_probability(as_table(n[0]), 4)),
+    case("fertility.log_length_probability.l4",
+         lambda n: fertility.log_length_probability(as_table(n[0]), 4),
          [r((3, 4)) * 2.0])
 
-    def make_ss(node, length):
-        return reordering.SpanScores(length, node)
+    def shared_tables(n):
+        # every reader of one table feeds the same prefix/suffix node
+        ft = as_table(n[0])
+        return (_weighted(fertility.marginal_fertility(ft, 5).tensor)
+                + fertility.log_length_probability(ft, 5)
+                + _weighted(fertility.length_distribution(ft)))
 
-    n_spans5 = len(reordering.spans(5))
-    case("reordering.inside",
-         lambda n: _weighted(reordering.inside(make_ss(n[0], 5)).logz),
-         [r((n_spans5, 2)) * 1.5])
-
-    def split_loss(n):
-        ss = make_ss(n[0], 4)
-        post = reordering.split_posteriors(ss, reordering.inside(ss))
-        total = None
-        for table in post.tables:
-            term = _weighted(table)
-            total = term if total is None else total + term
-        return total
-
-    case("reordering.split_posteriors", split_loss,
-         [r((len(reordering.spans(4)), 2)) * 1.5])
+    case("fertility.shared_tables", shared_tables, [r((4, 3)) * 2.0])
     case("reordering.expected_permutation",
-         lambda n: _weighted(reordering.expected_permutation(make_ss(n[0], 5)).matrix),
-         [r((n_spans5, 2)) * 1.5])
+         lambda n: _weighted(reordering.expected_permutation(
+             reordering.SpanScores(5, n[0])).matrix),
+         [r((len(reordering.spans(5)), 2)) * 1.5])
 
     return cases
 

@@ -1,29 +1,28 @@
 """Latent-fertility dynamic programs.
 
 Each source token i draws a copy count f_i from a categorical over 0..d.
-With dummy boundary tokens f_0 = f_{n+1} = 0, the forward table gives
-P(f_0 + .. + f_i = h) by discrete convolution, the backward table the
-suffix analogue, and conditioning the total on an output length l yields
-the marginal copy-alignment tensor
+A prefix table gives log P(f_1 + .. + f_i = h) by discrete convolution,
+a suffix table the same for f_{i+1} + .. + f_n, and conditioning the
+total on an output length l yields the marginal copy-alignment tensor
 
     F[i][j][u] = P(output slot j is the u-th copy of input i | total = l).
 
-The DP runs in the linear probability domain.  Rows are rescaled by their
-maxima (a constant per-row factor that cancels in every ratio below), which
-keeps the dominant mass near 1; a guard still detects underflow of the
-conditioned normalizer and recomputes that case in log space.
+The DP runs in log space only, so a length is infeasible exactly when its
+probability is zero.  Both tables are built once per FertilityTable as a
+single tape node; the length distribution, the log length probability and
+the marginal all read it, and its backward pass takes the summed adjoints
+of every reader through the two recursions once.
 """
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DomainError, Node
 
-UNDERFLOW_GUARD = 1e-280
 ROW_SUM_TOL = 1e-9
 
 
@@ -64,13 +63,20 @@ class FertilityTable:
     def max_length(self) -> int:
         return self.n * self.d
 
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.probs.value)
 
-@dataclass
-class LengthTables:
-    """Prefix/suffix total-count tables, rows 0..n+1 over totals 0..n*d."""
+    @cached_property
+    def log_tables(self) -> Node:
+        """(2, n+1, n*d+1) node: [0][i][h] = log P(f_1 + .. + f_i = h) and
+        [1][i][h] = log P(f_{i+1} + .. + f_n = h).
 
-    forward: Node
-    backward: Node
+        Built on first use, with the gradient mode in force at that time;
+        the probabilities must not change afterwards.
+        """
+        return _log_tables(self)
 
 
 @dataclass
@@ -81,320 +87,103 @@ class MarginalFertility:
     length: int
 
 
-class _OpCounter:
-    __slots__ = ("enabled", "count")
-
-    def __init__(self):
-        self.enabled = False
-        self.count = 0
-
-
-counter = _OpCounter()
-
-
-@contextlib.contextmanager
-def count_marginal_ops():
-    """Count inner multiply-add span lengths of the marginal computation."""
-    counter.enabled, counter.count = True, 0
-    try:
-        yield counter
-    finally:
-        counter.enabled = False
-
-
 # ---------------------------------------------------------------------------
-# rescaled linear-domain sweeps
+# log-space prefix sweep and its adjoint
 
-def _rescale(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r = p.max(axis=1)
-    if np.any(r <= 0.0):
-        raise DomainError("fertility row with no positive mass")
-    return p / r[:, None], r
+def _sweep(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix log-convolution: out[i][h] = log P(f_1 + .. + f_i = h).
 
-
-def _sweeps(phat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, dp1 = phat.shape
-    big = n * (dp1 - 1)
-    f = np.zeros((n + 2, big + 1))
-    f[0, 0] = 1.0
-    for i in range(1, n + 1):
-        row = phat[i - 1]
-        for r in range(dp1):
-            if row[r] != 0.0:
-                f[i, r:] += row[r] * f[i - 1, :big + 1 - r]
-    f[n + 1] = f[n]
-    b = np.zeros((n + 2, big + 1))
-    b[n + 1, 0] = 1.0
-    for i in range(n, 0, -1):
-        row = phat[i - 1]
-        for r in range(dp1):
-            if row[r] != 0.0:
-                b[i, r:] += row[r] * b[i + 1, :big + 1 - r]
-    b[0] = b[1]
-    return f, b
-
-
-def _sweep_adjoint_forward(df: np.ndarray, f: np.ndarray, phat: np.ndarray) -> np.ndarray:
-    """Adjoint of the f recursion; df is consumed in place, returns dphat."""
-    n, dp1 = phat.shape
-    big = f.shape[1] - 1
-    dphat = np.zeros_like(phat)
-    for i in range(n, 0, -1):
-        for r in range(dp1):
-            seg = df[i, r:]
-            dphat[i - 1, r] += float(seg @ f[i - 1, :big + 1 - r])
-            if phat[i - 1, r] != 0.0:
-                df[i - 1, :big + 1 - r] += phat[i - 1, r] * seg
-    return dphat
-
-
-def _sweep_adjoint_backward(db: np.ndarray, b: np.ndarray, phat: np.ndarray) -> np.ndarray:
-    n, dp1 = phat.shape
-    big = b.shape[1] - 1
-    dphat = np.zeros_like(phat)
-    for i in range(1, n + 1):
-        for r in range(dp1):
-            seg = db[i, r:]
-            dphat[i - 1, r] += float(seg @ b[i + 1, :big + 1 - r])
-            if phat[i - 1, r] != 0.0:
-                db[i + 1, :big + 1 - r] += phat[i - 1, r] * seg
-    return dphat
-
-
-def _numerators(phat: np.ndarray, f: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
-    n, dp1 = phat.shape
+    Also returns weights[i][r][h], the share of out[i+1][h] that has
+    f_{i+1} = r, which is the local derivative the adjoint needs.
+    """
+    n, dp1 = logp.shape
     d = dp1 - 1
-    num = np.zeros((n, length, d))
-    for i in range(1, n + 1):
-        for u in range(1, d + 1):
-            for v in range(0, d - u + 1):
-                w = u + v
-                jlo, jhi = u, min(length, length - v)
-                if jhi < jlo or phat[i - 1, w] == 0.0:
-                    continue
-                if counter.enabled:
-                    counter.count += jhi - jlo + 1
-                a = f[i - 1, jlo - u:jhi - u + 1]
-                bb = b[i + 1, length - jhi - v:length - jlo - v + 1][::-1]
-                num[i - 1, jlo - 1:jhi, u - 1] += phat[i - 1, w] * a * bb
-    return num
+    width = n * d + 1
+    out = np.full((n + 1, d + width), -np.inf)  # d leading -inf columns pad the shifts
+    out[0, d] = 0.0
+    shifted = d + np.arange(width) - np.arange(dp1)[:, None]
+    weights = np.empty((n, dp1, width))
+    for i in range(n):
+        total, weights[i] = ad.lse_softmax(logp[i][:, None] + out[i][shifted], axis=0)
+        out[i + 1, d:] = total[0]
+    return out[:, d:], weights
 
 
-def _support(f: np.ndarray) -> list[int]:
-    return [h for h in range(1, f.shape[1]) if f[-1, h] > 0.0]
-
-
-# ---------------------------------------------------------------------------
-# log-space fallback (underflowed normalizers)
-
-def _log_lse(cols: np.ndarray) -> np.ndarray:
-    m = cols.max(axis=0)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(cols - safe).sum(axis=0)) + safe
-    return np.where(np.isfinite(m), out, -np.inf)
-
-
-def _log_sweeps(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, dp1 = logp.shape
-    big = n * (dp1 - 1)
-    neg = -np.inf
-    lf = np.full((n + 2, big + 1), neg)
-    lf[0, 0] = 0.0
-    buf = np.empty((dp1, big + 1))
-    for i in range(1, n + 1):
-        buf.fill(neg)
+def _sweep_adjoint(dout: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Backpropagate through _sweep; consumes dout in place, returns dlogp."""
+    n, dp1, width = weights.shape
+    dlogp = np.empty((n, dp1))
+    for i in range(n - 1, -1, -1):
+        seg = weights[i] * dout[i + 1]
+        dlogp[i] = seg.sum(axis=1)
         for r in range(dp1):
-            buf[r, r:] = logp[i - 1, r] + lf[i - 1, :big + 1 - r]
-        lf[i] = _log_lse(buf)
-    lf[n + 1] = lf[n]
-    lb = np.full((n + 2, big + 1), neg)
-    lb[n + 1, 0] = 0.0
-    for i in range(n, 0, -1):
-        buf.fill(neg)
-        for r in range(dp1):
-            buf[r, r:] = logp[i - 1, r] + lb[i + 1, :big + 1 - r]
-        lb[i] = _log_lse(buf)
-    lb[0] = lb[1]
-    return lf, lb
-
-
-def _log_sweep_adjoint_forward(dlf: np.ndarray, lf: np.ndarray, logp: np.ndarray) -> np.ndarray:
-    """Adjoint of the log-space f recursion: weights are softmax terms in [0,1]."""
-    n, dp1 = logp.shape
-    big = lf.shape[1] - 1
-    dlogp = np.zeros_like(logp)
-    for i in range(n, 0, -1):
-        cur = lf[i]
-        for r in range(dp1):
-            if not np.isfinite(logp[i - 1, r]):
-                continue
-            prev = lf[i - 1, :big + 1 - r]
-            with np.errstate(invalid="ignore"):
-                w = np.exp(logp[i - 1, r] + prev - cur[r:])
-            w = np.where(np.isfinite(prev) & np.isfinite(cur[r:]), w, 0.0)
-            seg = dlf[i, r:] * w
-            dlogp[i - 1, r] += float(seg.sum())
-            dlf[i - 1, :big + 1 - r] += seg
+            dout[i, :width - r] += seg[r, r:]
     return dlogp
 
 
-def _log_sweep_adjoint_backward(dlb: np.ndarray, lb: np.ndarray, logp: np.ndarray) -> np.ndarray:
-    n, dp1 = logp.shape
-    big = lb.shape[1] - 1
-    dlogp = np.zeros_like(logp)
-    for i in range(1, n + 1):
-        cur = lb[i]
-        for r in range(dp1):
-            if not np.isfinite(logp[i - 1, r]):
+def _log_tables(ft: FertilityTable) -> Node:
+    """Prefix and suffix tables as one node (see FertilityTable.log_tables)."""
+    probs = ft.probs  # the backward closure must not hold ft, which caches the node
+    prefix, wf = _sweep(ft.log_probs)
+    suffix, wb = _sweep(ft.log_probs[::-1])
+
+    def bw(g):
+        dlogp = _sweep_adjoint(g[0].copy(), wf)
+        dlogp += _sweep_adjoint(g[1][::-1].copy(), wb)[::-1]
+        _acc_log_grad(probs, dlogp)
+
+    return ad.make_node(np.stack([prefix, suffix[::-1]]), (probs,), bw)
+
+
+def _acc_log_grad(probs: Node, dlogp: np.ndarray) -> None:
+    """Chain d/dlog p into d/dp.  Zero probabilities get zero gradient: every
+    table in the model comes from a softmax, whose backward multiplies by p."""
+    p = probs.value
+    ad._acc(probs, dlogp / np.where(p > 0.0, p, 1.0))
+
+
+def _log_normalizer(ft: FertilityTable, length: int) -> float:
+    """log P(total = length); raises when that probability is zero."""
+    totals = ft.log_tables.value[0, ft.n]
+    if not 1 <= length <= ft.max_length or totals[length] == -np.inf:
+        raise InfeasibleLengthError(
+            length, [h for h in range(1, totals.shape[0]) if totals[h] > -np.inf])
+    return float(totals[length])
+
+
+def _pair_shares(ft: FertilityTable, length: int, logz: float) -> list:
+    """(u, v, share) per copy index u and later-copy count v of one token.
+
+    share[i][k] = P(f_i = u + v, its u-th copy lands on slot k + u | total),
+    for the slots k + u = u..length-v that leave room for both prefix and
+    suffix counts.
+    """
+    logp = ft.log_probs
+    prefix, suffix = ft.log_tables.value
+    out = []
+    for u in range(1, ft.d + 1):
+        for v in range(0, ft.d - u + 1):
+            m = length - u - v + 1
+            if m < 1:
                 continue
-            nxt = lb[i + 1, :big + 1 - r]
-            with np.errstate(invalid="ignore"):
-                w = np.exp(logp[i - 1, r] + nxt - cur[r:])
-            w = np.where(np.isfinite(nxt) & np.isfinite(cur[r:]), w, 0.0)
-            seg = dlb[i, r:] * w
-            dlogp[i - 1, r] += float(seg.sum())
-            dlb[i + 1, :big + 1 - r] += seg
-    return dlogp
-
-
-def _marginal_log_space(p: np.ndarray, length: int):
-    """Values plus a backward closure for the underflowed regime."""
-    n, dp1 = p.shape
-    d = dp1 - 1
-    with np.errstate(divide="ignore"):
-        logp = np.log(p)
-    lf, lb = _log_sweeps(logp)
-    logz = lf[n, length]
-    if not np.isfinite(logz):
-        raise InfeasibleLengthError(length, [h for h in range(1, lf.shape[1])
-                                             if np.isfinite(lf[n, h])])
-    parts = np.full((d, n, length, d), -np.inf)  # indexed [v][i][j][u]
-    for i in range(1, n + 1):
-        for u in range(1, d + 1):
-            for v in range(0, d - u + 1):
-                w = u + v
-                jlo, jhi = u, length - v
-                if jhi < jlo or not np.isfinite(logp[i - 1, w]):
-                    continue
-                a = lf[i - 1, jlo - u:jhi - u + 1]
-                bb = lb[i + 1, length - jhi - v:length - jlo - v + 1][::-1]
-                parts[v, i - 1, jlo - 1:jhi, u - 1] = logp[i - 1, w] + a + bb
-    lognum = _log_lse(parts.reshape(d, -1)).reshape(n, length, d)
-    marg = np.exp(np.where(np.isfinite(lognum), lognum - logz, -np.inf))
-
-    def backward_into(gmarg: np.ndarray) -> np.ndarray:
-        dlognum = gmarg * marg
-        dlogz = -float(dlognum.sum())
-        dlf = np.zeros_like(lf)
-        dlb = np.zeros_like(lb)
-        dlogp = np.zeros_like(logp)
-        dlf[n, length] += dlogz
-        with np.errstate(invalid="ignore"):
-            wparts = np.exp(parts - lognum[None])
-        wparts = np.where(np.isfinite(parts), wparts, 0.0)
-        for i in range(1, n + 1):
-            for u in range(1, d + 1):
-                for v in range(0, d - u + 1):
-                    w = u + v
-                    jlo, jhi = u, length - v
-                    if jhi < jlo or not np.isfinite(logp[i - 1, w]):
-                        continue
-                    seg = dlognum[i - 1, jlo - 1:jhi, u - 1] * wparts[v, i - 1, jlo - 1:jhi, u - 1]
-                    dlogp[i - 1, w] += float(seg.sum())
-                    dlf[i - 1, jlo - u:jhi - u + 1] += seg
-                    dlb[i + 1, length - jhi - v:length - jlo - v + 1] += seg[::-1]
-        dlogp += _log_sweep_adjoint_forward(dlf, lf, logp)
-        dlogp += _log_sweep_adjoint_backward(dlb, lb, logp)
-        return np.where(p > 0.0, dlogp / np.where(p > 0.0, p, 1.0), 0.0)
-
-    return marg, backward_into
+            term = (logp[:, u + v, None] + prefix[:-1, :m]
+                    + suffix[1:, :m][:, ::-1] - logz)
+            out.append((u, v, np.exp(term)))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # public ops
 
-def length_tables(ft: FertilityTable) -> LengthTables:
-    """Forward and backward total-count tables at true probability scale."""
-    p = ft.probs.value
-    n = ft.n
-    phat, r = _rescale(p)
-    f, b = _sweeps(phat)
-    fscale = np.concatenate([np.cumprod(np.concatenate([[1.0], r])), [np.prod(r)]])
-    bscale = np.concatenate([[np.prod(r)],
-                             np.cumprod(np.concatenate([[1.0], r[::-1]]))[::-1]])
-    ftrue = f * fscale[:, None]
-    btrue = b * bscale[:, None]
-
-    def bw_f(g):
-        df = g * fscale[:, None]
-        df[n] += df[n + 1]
-        dphat = _sweep_adjoint_forward(df, f, phat)
-        ad._acc(ft.probs, dphat / r[:, None])
-
-    def bw_b(g):
-        db = g * bscale[:, None]
-        db[1] += db[0]
-        dphat = _sweep_adjoint_backward(db, b, phat)
-        ad._acc(ft.probs, dphat / r[:, None])
-
-    fnode = ad.make_node(ftrue, (ft.probs,), bw_f)
-    bnode = ad.make_node(btrue, (ft.probs,), bw_b)
-    return LengthTables(forward=fnode, backward=bnode)
-
-
 def length_distribution(ft: FertilityTable) -> Node:
     """P(total output length = h) for h in 0..n*d; sums to 1."""
-    p = ft.probs.value
-    n = ft.n
-    phat, r = _rescale(p)
-    f, _ = _sweeps(phat)
-    scale = float(np.prod(r))
-    dist = f[n + 1] * scale
-
-    def bw(g):
-        df = np.zeros_like(f)
-        df[n] = g * scale
-        dphat = _sweep_adjoint_forward(df, f, phat)
-        ad._acc(ft.probs, dphat / r[:, None])
-
-    return ad.make_node(dist, (ft.probs,), bw)
+    return ad.exp(ad.slice_(ft.log_tables, (0, ft.n)))
 
 
 def log_length_probability(ft: FertilityTable, length: int) -> Node:
-    """log P(total = length), stable even when the linear value underflows."""
-    p = ft.probs.value
-    n, d = ft.n, ft.d
-    if length < 1 or length > n * d:
-        raise InfeasibleLengthError(length, list(range(1, n * d + 1)))
-    phat, r = _rescale(p)
-    f, _ = _sweeps(phat)
-    zhat = f[n, length]
-    if zhat == 0.0:
-        raise InfeasibleLengthError(length, _support(f))
-    if zhat >= UNDERFLOW_GUARD:
-        value = np.asarray(np.log(zhat) + np.log(r).sum())
-
-        def bw(g):
-            df = np.zeros_like(f)
-            df[n, length] = float(g) / zhat
-            dphat = _sweep_adjoint_forward(df, f, phat)
-            ad._acc(ft.probs, dphat / r[:, None])
-
-        return ad.make_node(value, (ft.probs,), bw)
-
-    with np.errstate(divide="ignore"):
-        logp = np.log(p)
-    lf, _ = _log_sweeps(logp)
-    value = np.asarray(lf[n, length])
-
-    def bw_log(g):
-        dlf = np.zeros_like(lf)
-        dlf[n, length] = float(g)
-        dlogp = _log_sweep_adjoint_forward(dlf, lf, logp)
-        ad._acc(ft.probs, np.where(p > 0.0, dlogp / np.where(p > 0.0, p, 1.0), 0.0))
-
-    return ad.make_node(value, (ft.probs,), bw_log)
+    """log P(total = length), finite for every length of positive probability."""
+    _log_normalizer(ft, length)
+    return ad.slice_(ft.log_tables, (0, ft.n, length))
 
 
 def marginal_fertility(ft: FertilityTable, length: int) -> MarginalFertility:
@@ -404,55 +193,28 @@ def marginal_fertility(ft: FertilityTable, length: int) -> MarginalFertility:
     j+1 is the (u+1)-th copy of input token i+1 given total length.  Columns
     are distributions: sum_{i,u} tensor[i][j][u] = 1 for every j.
     """
-    p = ft.probs.value
+    logz = _log_normalizer(ft, length)
+    probs, tables = ft.probs, ft.log_tables
     n, d = ft.n, ft.d
-    if length < 1 or length > n * d:
-        raise InfeasibleLengthError(length, list(range(1, n * d + 1)))
-    phat, r = _rescale(p)
-    f, b = _sweeps(phat)
-    zhat = f[n + 1, length]
-    if zhat == 0.0:
-        raise InfeasibleLengthError(length, _support(f))
-
-    if zhat < UNDERFLOW_GUARD:
-        marg, backward_into = _marginal_log_space(p, length)
-
-        def bw_fallback(g):
-            ad._acc(ft.probs, backward_into(g))
-
-        return MarginalFertility(ad.make_node(marg, (ft.probs,), bw_fallback), length)
-
-    num = _numerators(phat, f, b, length)
-    marg = num / zhat
+    shares = _pair_shares(ft, length, logz)
+    marg = np.zeros((n, length, d))
+    for u, v, share in shares:
+        marg[:, u - 1:length - v, u - 1] += share
+    # Each column sums to 1 identically, so this changes values only by
+    # rounding (it cancels the rounding of logz) and the adjoint ignores it.
+    marg /= marg.sum(axis=(0, 2))[None, :, None]
 
     def bw(g):
-        dnum = g / zhat
-        dz = -float((g * num).sum()) / (zhat * zhat)
-        df = np.zeros_like(f)
-        db = np.zeros_like(b)
-        dphat = np.zeros_like(phat)
-        df[n, length] += dz
-        for i in range(1, n + 1):
-            for u in range(1, d + 1):
-                for v in range(0, d - u + 1):
-                    w = u + v
-                    jlo, jhi = u, length - v
-                    if jhi < jlo or phat[i - 1, w] == 0.0:
-                        continue
-                    a = f[i - 1, jlo - u:jhi - u + 1]
-                    bb = b[i + 1, length - jhi - v:length - jlo - v + 1][::-1]
-                    seg = dnum[i - 1, jlo - 1:jhi, u - 1]
-                    dphat[i - 1, w] += float(seg @ (a * bb))
-                    df[i - 1, jlo - u:jhi - u + 1] += seg * phat[i - 1, w] * bb
-                    db[i + 1, length - jhi - v:length - jlo - v + 1] += \
-                        (seg * phat[i - 1, w] * a)[::-1]
-        dphat += _sweep_adjoint_forward(df, f, phat)
-        dphat += _sweep_adjoint_backward(db, b, phat)
-        ad._acc(ft.probs, dphat / r[:, None])
+        dlogp = np.zeros((n, d + 1))
+        dtables = np.zeros_like(tables.value)
+        for u, v, share in shares:
+            m = share.shape[1]
+            gs = g[:, u - 1:length - v, u - 1] * share
+            dlogp[:, u + v] += gs.sum(axis=1)
+            dtables[0, :n, :m] += gs
+            dtables[1, 1:, :m] += gs[:, ::-1]
+        dtables[0, n, length] -= float((g * marg).sum())
+        _acc_log_grad(probs, dlogp)
+        ad._acc(tables, dtables)
 
-    return MarginalFertility(ad.make_node(marg, (ft.probs,), bw), length)
-
-
-def expected_fertilities(mf: MarginalFertility) -> Node:
-    """E[f_i | total = length] per token; sums to the length."""
-    return ad.sum_(ad.sum_(mf.tensor, axis=2), axis=1)
+    return MarginalFertility(ad.make_node(marg, (probs, tables), bw), length)

@@ -101,7 +101,6 @@ class IntermediateSequence:
     """Expected copy sequence under the fertility marginal."""
 
     values: Node  # (length, embedding_dim)
-    slots: Node   # (max_fertility, embedding_dim) copy-slot embeddings
 
 
 @dataclass
@@ -112,7 +111,11 @@ class Prepared:
     fertility: fertility.FertilityTable
     permutation: reordering.MarginalPermutation | None  # reorder-first only
     span_scores: reordering.SpanScores | None
-    length_probs: Node
+
+    @property
+    def length_probs(self) -> Node:
+        """P(output length = h | source), h = 0..n*d; computed on each read."""
+        return fertility.length_distribution(self.fertility)
 
 
 @dataclass
@@ -275,7 +278,7 @@ class Model:
         tile = np.tile(np.arange(d), n)
         pairs = ad.gather(enc.embeddings, rep) + ad.gather(slots, tile)
         weights = ad.reshape(ad.transpose(marg.tensor, (1, 0, 2)), (marg.length, n * d))
-        return IntermediateSequence(ad.matmul(weights, pairs), slots)
+        return IntermediateSequence(ad.matmul(weights, pairs))
 
     def reordering_scores(self, seq: Node) -> reordering.SpanScores:
         """Orientation scores for every span of the given sequence."""
@@ -383,13 +386,13 @@ class Model:
         enc = self.encode(source_ids)
         if self.config.composition == "fertility-first":
             ft = self.fertility_head(enc.fertility_states)
-            return Prepared(enc, ft, None, None, fertility.length_distribution(ft))
+            return Prepared(enc, ft, None, None)
         ss = self.reordering_scores(enc.embeddings)
         perm = reordering.expected_permutation(ss)
         reordered = ad.matmul(ad.transpose(perm.matrix), enc.embeddings)
         states, _, _ = self._bilstm("fert", reordered)
         ft = self.fertility_head(states)
-        return Prepared(enc, ft, perm, ss, fertility.length_distribution(ft))
+        return Prepared(enc, ft, perm, ss)
 
     def complete(self, prep: Prepared, length: int,
                  target_ids: Sequence[int] | None = None) -> TransductionOutput:
@@ -426,26 +429,3 @@ class Model:
         n = out.encoded.source_ids.shape[0]
         return ad.sum_(ad.reshape(out.mixing, (d, n, out.marginal.length)), axis=0)
 
-
-def load_text_embeddings(path, token_to_id: dict, matrix: np.ndarray) -> int:
-    """Overwrite embedding rows from a text file of token then floats.
-
-    Lines for tokens absent from the vocabulary are skipped; a dimension
-    mismatch raises.  Returns the number of rows loaded.
-    """
-    loaded = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            idx = token_to_id.get(token)
-            if idx is None:
-                continue
-            if len(values) != matrix.shape[1]:
-                raise ValueError(f"line {lineno}: expected {matrix.shape[1]} "
-                                 f"values, got {len(values)}")
-            matrix[idx] = np.asarray([float(v) for v in values])
-            loaded += 1
-    return loaded

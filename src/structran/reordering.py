@@ -15,14 +15,12 @@ and so on, each block ordered by left endpoint.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DomainError, Node
-
-_CLAMP = 80.0
 
 
 def spans(length: int, min_width: int = 2) -> list[tuple[int, int]]:
@@ -37,15 +35,6 @@ def score_index(length: int, i: int, j: int) -> int:
     if not (0 <= i < j <= length and w >= 2):
         raise DomainError(f"bad span ({i}, {j}) for length {length}")
     off = sum(length - ww + 1 for ww in range(2, w))
-    return off + i
-
-
-def chart_index(length: int, i: int, j: int) -> int:
-    """Row of span (i, j) inside the chart layout (width 1 included)."""
-    w = j - i
-    if not (0 <= i < j <= length):
-        raise DomainError(f"bad span ({i}, {j}) for length {length}")
-    off = sum(length - ww + 1 for ww in range(1, w))
     return off + i
 
 
@@ -68,40 +57,10 @@ class SpanScores:
 
 
 @dataclass
-class InsideChart:
-    """logz[span] = log sum over trees of that span of exp(score sum)."""
-
-    length: int
-    logz: Node
-
-    def index(self, i: int, j: int) -> int:
-        return chart_index(self.length, i, j)
-
-
-@dataclass
-class SplitPosteriors:
-    """Per span of width >= 2, a (w-1, 2) table over (split, orientation);
-    row k-i-1 holds split point k.  Ordered like spans(length)."""
-
-    length: int
-    tables: list[Node] = field(default_factory=list)
-
-    def table(self, i: int, j: int) -> Node:
-        return self.tables[score_index(self.length, i, j)]
-
-
-@dataclass
 class MarginalPermutation:
     """matrix[a][b] = P(source position a lands on target slot b)."""
 
     matrix: Node
-    span_conditionals: list[np.ndarray] | None = None
-
-
-def _lse_rows(x: np.ndarray, axis: int) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(np.clip(x - m, -_CLAMP, _CLAMP))
-    return np.log(e.sum(axis=axis)) + np.squeeze(m, axis=axis)
 
 
 def _per_width_scores(scores: np.ndarray, length: int) -> list[np.ndarray | None]:
@@ -115,7 +74,12 @@ def _per_width_scores(scores: np.ndarray, length: int) -> list[np.ndarray | None
 
 
 def _chart_posteriors(scores: np.ndarray, length: int):
-    """Inside values plus factorized posteriors, all per width."""
+    """Inside values plus factorized posteriors, all per width.
+
+    zw[w][i] is the log inside value of span (i, i+w), po[w][i] its
+    (straight, inverted) posterior and ps[w][c-1][i] the posterior of its
+    split at i+c.
+    """
     sc = _per_width_scores(scores, length)
     zw: list[np.ndarray | None] = [None, np.zeros(length)]
     po: list[np.ndarray | None] = [None, None]
@@ -125,68 +89,18 @@ def _chart_posteriors(scores: np.ndarray, length: int):
         t = np.empty((w - 1, n_w))
         for c in range(1, w):
             t[c - 1] = zw[c][:n_w] + zw[w - c][c:c + n_w]
-        a = _lse_rows(t, axis=0)
-        b = _lse_rows(sc[w], axis=1)
-        zw.append(a + b)
-        po.append(np.exp(sc[w] - b[:, None]))
-        ps.append(np.exp(t - a[None, :]))
+        a, split_post = ad.lse_softmax(t, axis=0)
+        b, orient_post = ad.lse_softmax(sc[w], axis=1)
+        zw.append(a[0] + b[:, 0])
+        po.append(orient_post)
+        ps.append(split_post)
     return zw, po, ps
-
-
-# ---------------------------------------------------------------------------
-# tape ops (inside and split posteriors are small; built from primitives)
-
-def inside(ss: SpanScores) -> InsideChart:
-    """Inside chart; leaves contribute logz = 0."""
-    length = ss.length
-    zw: list[Node | None] = [None, ad.constant(np.zeros(length))]
-    offset = 0
-    for w in range(2, length + 1):
-        n_w = length - w + 1
-        sc_w = ad.slice_(ss.scores, (slice(offset, offset + n_w), slice(None)))
-        offset += n_w
-        parts = [ad.add(ad.slice_(zw[c], slice(0, n_w)),
-                        ad.slice_(zw[w - c], slice(c, c + n_w)))
-                 for c in range(1, w)]
-        t = ad.stack(parts, axis=0)
-        zw.append(ad.add(ad.log_sum_exp(t, axis=0), ad.log_sum_exp(sc_w, axis=1)))
-    return InsideChart(length, ad.concat([zw[w] for w in range(1, length + 1)], axis=0))
-
-
-def split_posteriors(ss: SpanScores, chart: InsideChart) -> SplitPosteriors:
-    """q(split, orientation | span) = exp(score + child insides - span inside)."""
-    length = ss.length
-    out = SplitPosteriors(length)
-    coff = 0  # chart offset of the current width block
-    soff = 0
-    width_starts = {}
-    for w in range(1, length + 1):
-        width_starts[w] = coff
-        coff += length - w + 1
-    for w in range(2, length + 1):
-        n_w = length - w + 1
-        sc_w = ad.slice_(ss.scores, (slice(soff, soff + n_w), slice(None)))
-        soff += n_w
-        parts = []
-        for c in range(1, w):
-            left = ad.slice_(chart.logz, slice(width_starts[c], width_starts[c] + n_w))
-            right = ad.slice_(chart.logz,
-                              slice(width_starts[w - c] + c, width_starts[w - c] + c + n_w))
-            parts.append(ad.add(left, right))
-        t = ad.reshape(ad.stack(parts, axis=0), (w - 1, n_w, 1))
-        z_w = ad.reshape(
-            ad.slice_(chart.logz, slice(width_starts[w], width_starts[w] + n_w)),
-            (1, n_w, 1))
-        q = ad.exp(ad.sub(ad.add(t, ad.reshape(sc_w, (1, n_w, 2))), z_w))
-        for i in range(n_w):
-            out.tables.append(ad.slice_(q, (slice(None), i, slice(None))))
-    return out
 
 
 # ---------------------------------------------------------------------------
 # expected permutation: one fused op with a handwritten adjoint
 
-def expected_permutation(ss: SpanScores, keep_conditionals: bool = False) -> MarginalPermutation:
+def expected_permutation(ss: SpanScores) -> MarginalPermutation:
     """Expected permutation matrix over the tree posterior.
 
     Conditional span matrices compose bottom-up: with split posterior q and
@@ -265,5 +179,4 @@ def expected_permutation(ss: SpanScores, keep_conditionals: bool = False) -> Mar
                     dz[w - c][c:c + n_w] += dt[c - 1]
         ad._acc(ss.scores, dscores)
 
-    node = ad.make_node(value, (ss.scores,), bw)
-    return MarginalPermutation(node, span_conditionals=m if keep_conditionals else None)
+    return MarginalPermutation(ad.make_node(value, (ss.scores,), bw))

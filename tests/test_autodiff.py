@@ -48,6 +48,21 @@ class TestForwardValues:
         assert np.isfinite(out.value)
         assert out.value == pytest.approx(1e4)
 
+    def test_log_sum_exp_all_neg_inf_is_neg_inf(self):
+        x = ad.parameter(np.array([-np.inf, -np.inf]))
+        out = ad.log_sum_exp(x)
+        assert out.value == -np.inf
+        ad.backward(out)
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+
+    def test_log_sum_exp_neg_inf_row_along_axis(self):
+        x = ad.parameter(np.array([[-np.inf, -np.inf], [0.0, math.log(3.0)]]))
+        out = ad.log_sum_exp(x, axis=1)
+        assert out.value[0] == -np.inf
+        assert out.value[1] == pytest.approx(math.log(4.0))
+        ad.backward(ad.sum_(out))
+        np.testing.assert_allclose(x.grad, [[0.0, 0.0], [0.25, 0.75]])
+
     def test_matmul_shapes(self):
         a = np.arange(6.0).reshape(2, 3)
         b = np.arange(12.0).reshape(3, 4)

@@ -259,21 +259,3 @@ class TestAutoregressiveDecoder:
         with pytest.raises(ad.DomainError):
             m.ar_context([0, 6, 1], 3)
 
-
-class TestEmbeddingLoader:
-    def test_loads_known_tokens_only(self, tmp_path):
-        m = md.Model(tiny_config())
-        matrix = m.store["emb_src"].value
-        path = tmp_path / "vectors.txt"
-        path.write_text("tok0 1 2 3 4\nmissing 9 9 9 9\ntok2 5 6 7 8\n")
-        count = md.load_text_embeddings(path, {"tok0": 0, "tok2": 2}, matrix)
-        assert count == 2
-        np.testing.assert_array_equal(matrix[0], [1, 2, 3, 4])
-        np.testing.assert_array_equal(matrix[2], [5, 6, 7, 8])
-
-    def test_dimension_mismatch_rejected(self, tmp_path):
-        m = md.Model(tiny_config())
-        path = tmp_path / "vectors.txt"
-        path.write_text("tok0 1 2\n")
-        with pytest.raises(ValueError, match="line 1"):
-            md.load_text_embeddings(path, {"tok0": 0}, m.store["emb_src"].value)

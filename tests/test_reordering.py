@@ -1,4 +1,4 @@
-"""Inside scores, split posteriors, and expected permutations for the
+"""Inside values, split posteriors, and expected permutations for the
 straight/inverted binary-tree distribution."""
 import math
 
@@ -25,8 +25,17 @@ def random_chart(rng, length, scale=1.5) -> reordering.SpanScores:
     return score_chart(length, rng.normal(size=(rows, 2)) * scale)
 
 
-def root_logz(chart: reordering.InsideChart) -> float:
-    return float(chart.logz.value[chart.index(0, chart.length)])
+def root_logz(ss: reordering.SpanScores) -> float:
+    zw, _, _ = reordering._chart_posteriors(ss.scores.value, ss.length)
+    return float(zw[ss.length][0])
+
+
+def split_table(ss: reordering.SpanScores, i: int, j: int) -> np.ndarray:
+    """(w-1, 2) posterior over (split, orientation) of span (i, j);
+    row k-i-1 holds split point k."""
+    _, po, ps = reordering._chart_posteriors(ss.scores.value, ss.length)
+    w = j - i
+    return ps[w][:, i, None] * po[w][i][None, :]
 
 
 def score_lookup(ss: reordering.SpanScores) -> dict:
@@ -53,41 +62,32 @@ class TestSpanIndexing:
 
 class TestInside:
     def test_single_leaf(self):
-        chart = reordering.inside(zero_chart(1))
-        np.testing.assert_allclose(chart.logz.value, [0.0])
+        assert root_logz(zero_chart(1)) == 0.0
 
     def test_two_leaves_two_labelings(self):
-        chart = reordering.inside(zero_chart(2))
-        assert root_logz(chart) == pytest.approx(math.log(2))
+        assert root_logz(zero_chart(2)) == pytest.approx(math.log(2))
 
     def test_three_leaves_eight_derivations(self):
-        chart = reordering.inside(zero_chart(3))
-        assert root_logz(chart) == pytest.approx(math.log(8))
+        assert root_logz(zero_chart(3)) == pytest.approx(math.log(8))
 
     @pytest.mark.parametrize("length,count", [(2, 2), (3, 8), (4, 40), (5, 224), (6, 1344)])
     def test_zero_scores_count_derivations(self, length, count):
-        chart = reordering.inside(zero_chart(length))
-        assert root_logz(chart) == pytest.approx(math.log(count), abs=1e-9)
+        assert root_logz(zero_chart(length)) == pytest.approx(math.log(count), abs=1e-9)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 6))
     @settings(max_examples=20, deadline=None)
     def test_matches_enumerated_partition(self, seed, length):
         ss = random_chart(np.random.default_rng(seed), length)
-        chart = reordering.inside(ss)
         _, logz = oracles.enum_tree_expectation(score_lookup(ss), length)
-        assert root_logz(chart) == pytest.approx(logz, abs=1e-9)
+        assert root_logz(ss) == pytest.approx(logz, abs=1e-9)
 
 
 class TestSplitPosteriors:
     def test_two_leaves_symmetric(self):
-        ss = zero_chart(2)
-        post = reordering.split_posteriors(ss, reordering.inside(ss))
-        np.testing.assert_allclose(post.table(0, 2).value, [[0.5, 0.5]])
+        np.testing.assert_allclose(split_table(zero_chart(2), 0, 2), [[0.5, 0.5]])
 
     def test_three_leaves_uniform(self):
-        ss = zero_chart(3)
-        post = reordering.split_posteriors(ss, reordering.inside(ss))
-        np.testing.assert_allclose(post.table(0, 3).value, np.full((2, 2), 0.25))
+        np.testing.assert_allclose(split_table(zero_chart(3), 0, 3), np.full((2, 2), 0.25))
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=15, deadline=None)
@@ -95,9 +95,8 @@ class TestSplitPosteriors:
         rng = np.random.default_rng(seed)
         length = int(rng.integers(2, 7))
         ss = random_chart(rng, length)
-        post = reordering.split_posteriors(ss, reordering.inside(ss))
         for (i, j) in reordering.spans(length):
-            assert post.table(i, j).value.sum() == pytest.approx(1.0, abs=1e-9)
+            assert split_table(ss, i, j).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestExpectedPermutation:
@@ -145,24 +144,11 @@ class TestExpectedPermutation:
         np.testing.assert_allclose(perm.sum(axis=1), np.ones(length), atol=1e-6)
         assert perm.min() >= 0.0
 
-    def test_conditionals_optionally_kept(self):
-        length = 4
-        ss = random_chart(np.random.default_rng(9), length)
-        bare = reordering.expected_permutation(ss)
-        rich = reordering.expected_permutation(ss, keep_conditionals=True)
-        assert bare.span_conditionals is None
-        # per-width stacks of within-span conditional matrices, root last
-        np.testing.assert_allclose(rich.span_conditionals[length][0],
-                                   rich.matrix.value, atol=1e-12)
-        post = reordering.split_posteriors(ss, reordering.inside(ss))
-        for i in range(length - 1):
-            po, pi = post.table(i, i + 2).value[0]
-            np.testing.assert_allclose(rich.span_conditionals[2][i],
-                                       [[po, pi], [pi, po]], atol=1e-9)
-        for w in range(2, length + 1):
-            stack = rich.span_conditionals[w]
-            np.testing.assert_allclose(stack.sum(axis=1), 1.0, atol=1e-9)
-            np.testing.assert_allclose(stack.sum(axis=2), 1.0, atol=1e-9)
+    def test_two_leaves_follow_orientation_posterior(self):
+        ss = random_chart(np.random.default_rng(9), 2)
+        straight, inverted = split_table(ss, 0, 2)[0]
+        np.testing.assert_allclose(reordering.expected_permutation(ss).matrix.value,
+                                   [[straight, inverted], [inverted, straight]], atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
