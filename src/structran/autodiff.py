@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
+import os
 import struct
 from typing import Callable, Iterable, Iterator
 
@@ -523,6 +525,26 @@ def lstm_cell(z: Node, c_prev: Node) -> Node:
 # ---------------------------------------------------------------------------
 # parameters and checkpoints
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Write through a temporary file next to path, then rename it into place.
+
+    path keeps its previous content until the block finishes; when the
+    block raises, the temporary file is removed and path is untouched.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 _CKPT_MAGIC = b"STRN"
 _CKPT_VERSION = 1
 
@@ -568,8 +590,9 @@ class ParameterStore:
 
     def save(self, path) -> None:
         """Binary container: magic, version, count, then per parameter
-        (name length, utf-8 name, ndim, dims, little-endian float64 data)."""
-        with open(path, "wb") as fh:
+        (name length, utf-8 name, ndim, dims, little-endian float64 data).
+        The file appears at path only once it is completely written."""
+        with atomic_open(path, "wb") as fh:
             fh.write(_CKPT_MAGIC)
             fh.write(struct.pack("<I", _CKPT_VERSION))
             fh.write(struct.pack("<Q", len(self._params)))
@@ -584,24 +607,50 @@ class ParameterStore:
 
     @staticmethod
     def read_arrays(path) -> dict[str, np.ndarray]:
+        """Parse a checkpoint written by save().
+
+        A wrong magic or version, a file cut short inside the header, a
+        name or an array, and bytes after the last array all raise
+        UsageError naming the path.
+        """
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _CKPT_MAGIC:
-                raise UsageError(f"not a checkpoint file (magic {magic!r})")
-            (version,) = struct.unpack("<I", fh.read(4))
-            if version != _CKPT_VERSION:
-                raise UsageError(f"unsupported checkpoint version {version}")
-            (count,) = struct.unpack("<Q", fh.read(8))
-            out: dict[str, np.ndarray] = {}
-            for _ in range(count):
-                (nlen,) = struct.unpack("<I", fh.read(4))
-                name = fh.read(nlen).decode("utf-8")
-                (ndim,) = struct.unpack("<I", fh.read(4))
-                shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-                n = int(np.prod(shape)) if shape else 1
-                data = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
-                out[name] = data.reshape(shape)
-            return out
+            blob = fh.read()
+        pos = 0
+
+        def take(size: int, what: str) -> bytes:
+            nonlocal pos
+            if size > len(blob) - pos:
+                raise UsageError(f"{path}: truncated checkpoint: {what} needs "
+                                 f"{size} bytes at offset {pos}, "
+                                 f"{len(blob) - pos} left")
+            pos += size
+            return blob[pos - size:pos]
+
+        def unpack(fmt: str, what: str) -> int:
+            return struct.unpack(fmt, take(struct.calcsize(fmt), what))[0]
+
+        magic = take(4, "header")
+        if magic != _CKPT_MAGIC:
+            raise UsageError(f"{path}: not a checkpoint file (magic {magic!r})")
+        version = unpack("<I", "header")
+        if version != _CKPT_VERSION:
+            raise UsageError(f"{path}: unsupported checkpoint version {version}")
+        count = unpack("<Q", "header")
+        out: dict[str, np.ndarray] = {}
+        for index in range(count):
+            raw = take(unpack("<I", f"name {index}"), f"name {index}")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"{path}: name {index} is not utf-8") from exc
+            what = f"array {name!r}"
+            shape = tuple(unpack("<Q", what) for _ in range(unpack("<I", what)))
+            data = take(8 * math.prod(shape), what)
+            out[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+        if pos != len(blob):
+            raise UsageError(f"{path}: {len(blob) - pos} trailing bytes after "
+                             f"the last array")
+        return out
 
     def restore(self, path) -> None:
         """Load a checkpoint written by save(); names and shapes must match."""

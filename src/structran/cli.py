@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, data, grammar as grammar_mod, inference, training
+from .autodiff import atomic_open
 from .model import Model, ModelConfig
 
 
@@ -77,7 +78,7 @@ def cmd_train(args) -> int:
         "best_dev": result.best_dev,
         "best_epoch": result.best_epoch,
     }
-    with open(f"{ckpt}.meta.json", "w", encoding="utf-8") as fh:
+    with atomic_open(f"{ckpt}.meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
     print(f"best dev exact match {result.best_dev:.4f} "
           f"at epoch {result.best_epoch}; checkpoint {ckpt}")

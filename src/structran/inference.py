@@ -160,7 +160,12 @@ def predict_grammar(model: Model, source_ids, grammar: Grammar,
 
 
 def predict_autoregressive(model: Model, source_ids, k: int = 1) -> DecodeResult:
-    """Greedy left-to-right decoding per candidate length."""
+    """Greedy left-to-right decoding per candidate length.
+
+    The fertility and reordering structure does not depend on the target
+    prefix, so it is built once per length; the decoder LSTM then advances
+    one token per position and each position's row is emitted on its own.
+    """
     if k < 1:
         raise ad.UsageError("k must be at least 1")
     if model.config.decoder != "autoregressive":
@@ -172,15 +177,19 @@ def predict_autoregressive(model: Model, source_ids, k: int = 1) -> DecodeResult
             raise InferenceError("no feasible output length for this source")
         best = None
         for length in lengths:
+            st = model.structure(prep, length)
             ys: list[int] = []
+            rows = []
+            state = None
             for pos in range(length):
-                padded = np.array(ys + [0] * (length - pos), dtype=np.intp)
-                out = model.complete(prep, length, padded)
-                ys.append(int(np.argmax(out.probs.value[pos])))
-            final = model.complete(prep, length, np.array(ys, dtype=np.intp))
-            probs = final.probs.value
+                ar_row, state = model.ar_step(ys[-1] if ys else None, state)
+                token_probs = model.token_distributions(prep.encoded, ar_row)
+                column = ad.slice_(st.mixing, (slice(None), slice(pos, pos + 1)))
+                rows.append(model.output_distributions(token_probs, column).value[0])
+                ys.append(int(np.argmax(rows[-1])))
+            probs = np.stack(rows)
             with np.errstate(divide="ignore"):
-                score = float(final.log_length.value
+                score = float(st.log_length.value
                               + np.log(probs[np.arange(length), ys]).sum())
             if best is None or score > best.log_score:
                 best = DecodeResult(ys, length, score, probs)

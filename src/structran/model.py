@@ -119,6 +119,21 @@ class Prepared:
 
 
 @dataclass
+class Structure:
+    """Target-independent forward state for one candidate output length.
+
+    Only the decoder reads the target prefix, so teacher forcing and
+    token-by-token decoding both emit from one Structure.
+    """
+
+    marginal: fertility.MarginalFertility
+    log_length: Node  # scalar log P(length | source)
+    span_scores: reordering.SpanScores
+    permutation: reordering.MarginalPermutation
+    mixing: Node      # (d*n, length) joint structure weights, slot-major
+
+
+@dataclass
 class TransductionOutput:
     """Everything the loss and the diagnostics need for one example."""
 
@@ -195,8 +210,14 @@ class Model:
 
     # -- recurrent encoders -------------------------------------------------
 
-    def _lstm(self, prefix: str, inputs: Node) -> Node:
-        """States (T, H) of one LSTM direction over the rows of inputs."""
+    def _lstm(self, prefix: str, inputs: Node, state: tuple[Node, Node] | None = None
+              ) -> tuple[Node, tuple[Node, Node]]:
+        """States (T, H) of one LSTM direction over the rows of inputs.
+
+        The recurrence starts from state, an (h, c) pair (zeros when
+        omitted), and also returns the final (h, c), so a caller can feed
+        the rows of a sequence one call at a time.
+        """
         w = self.store[prefix + ".W"]
         b = self.store[prefix + ".b"]
         hidden = w.value.shape[0] // 4
@@ -205,8 +226,9 @@ class Model:
         wh = ad.slice_(w, (slice(None), slice(in_dim, None)))
         # input contributions for every step at once
         zx = ad.matmul(inputs, ad.transpose(wx)) + b
-        h = ad.constant(np.zeros(hidden))
-        c = ad.constant(np.zeros(hidden))
+        if state is None:
+            state = (ad.constant(np.zeros(hidden)), ad.constant(np.zeros(hidden)))
+        h, c = state
         states = []
         for t in range(inputs.shape[0]):
             z = ad.slice_(zx, t) + ad.matmul(wh, h)
@@ -214,7 +236,7 @@ class Model:
             h = ad.slice_(packed, slice(0, hidden))
             c = ad.slice_(packed, slice(hidden, None))
             states.append(h)
-        return ad.stack(states, axis=0)
+        return ad.stack(states, axis=0), (h, c)
 
     def _bilstm(self, tag: str, inputs: Node) -> tuple[Node, Node, Node]:
         """Per-row [fwd; bwd] states plus fencepost stacks.
@@ -223,8 +245,8 @@ class Model:
         state covering rows k..T-1; ff[0] and bb[T] are zero.
         """
         hidden = self.store[tag + ".fw.W"].value.shape[0] // 4
-        fwd = self._lstm(tag + ".fw", inputs)
-        bwd = self._lstm(tag + ".bw", ad.slice_(inputs, slice(None, None, -1)))
+        fwd, _ = self._lstm(tag + ".fw", inputs)
+        bwd, _ = self._lstm(tag + ".bw", ad.slice_(inputs, slice(None, None, -1)))
         aligned = ad.slice_(bwd, slice(None, None, -1))
         states = ad.concat([fwd, aligned], axis=1)
         zero = ad.constant(np.zeros((1, hidden)))
@@ -360,6 +382,12 @@ class Model:
                         (d, length, n, 1))
         return ad.sum_(ad.sum_(a4 * token_probs, axis=2), axis=0)
 
+    def _ar_project(self, states: Node) -> Node:
+        """Decoder LSTM states (rows, decoder_hidden) in embedding space."""
+        if "ar.proj" in self.store:
+            return ad.matmul(states, ad.transpose(self.store["ar.proj"]))
+        return states
+
     def ar_context(self, target_ids: Sequence[int], length: int) -> Node:
         """Decoder states summarizing y_{<i}; position 0 gets the zero state."""
         cfg = self.config
@@ -369,15 +397,27 @@ class Model:
         if ids.min() < 0 or ids.max() >= cfg.target_vocab:
             raise ad.DomainError(
                 f"target token id outside the vocabulary of size {cfg.target_vocab}")
-        zero = ad.constant(np.zeros((1, cfg.decoder_hidden)))
-        if length == 1:
-            states = zero
-        else:
+        states = ad.constant(np.zeros((1, cfg.decoder_hidden)))
+        if length > 1:
             emb = ad.gather(self.store["emb_tgt"], ids[:-1])
-            states = ad.concat([zero, self._lstm("ar", emb)], axis=0)
-        if "ar.proj" in self.store:
-            states = ad.matmul(states, ad.transpose(self.store["ar.proj"]))
-        return states
+            states = ad.concat([states, self._lstm("ar", emb)[0]], axis=0)
+        return self._ar_project(states)
+
+    def ar_step(self, token_id: int | None, state: tuple[Node, Node] | None = None
+                ) -> tuple[Node, tuple[Node, Node] | None]:
+        """One incremental decoder step, the row-at-a-time form of ar_context.
+
+        With token_id None this is position 0: the zero state row and no
+        LSTM state.  Otherwise the decoder LSTM advances from state on
+        token_id, the token at the previous position.  Returns the (1, e)
+        state row of the next position and the (h, c) to continue from.
+        """
+        if token_id is None:
+            zero = ad.constant(np.zeros((1, self.config.decoder_hidden)))
+            return self._ar_project(zero), None
+        emb = ad.gather(self.store["emb_tgt"], np.array([token_id], dtype=np.intp))
+        states, state = self._lstm("ar", emb, state)
+        return self._ar_project(states), state
 
     # -- orchestration ------------------------------------------------------
 
@@ -394,13 +434,11 @@ class Model:
         ft = self.fertility_head(states)
         return Prepared(enc, ft, perm, ss)
 
-    def complete(self, prep: Prepared, length: int,
-                 target_ids: Sequence[int] | None = None) -> TransductionOutput:
-        """Finish the forward pass for one candidate output length."""
-        cfg = self.config
+    def structure(self, prep: Prepared, length: int) -> Structure:
+        """The target-independent stages for one candidate output length."""
         marg = fertility.marginal_fertility(prep.fertility, length)
         log_len = fertility.log_length_probability(prep.fertility, length)
-        if cfg.composition == "fertility-first":
+        if self.config.composition == "fertility-first":
             inter = self.compose_intermediate(prep.encoded, marg)
             ss = self.reordering_scores(inter.values)
             perm = reordering.expected_permutation(ss)
@@ -408,16 +446,23 @@ class Model:
             ss = prep.span_scores
             perm = prep.permutation
         mixing = self.mixing_weights(marg, perm.matrix)
+        return Structure(marg, log_len, ss, perm, mixing)
+
+    def complete(self, prep: Prepared, length: int,
+                 target_ids: Sequence[int] | None = None) -> TransductionOutput:
+        """Finish the forward pass for one candidate output length."""
+        st = self.structure(prep, length)
         ar_states = None
-        if cfg.decoder == "autoregressive":
+        if self.config.decoder == "autoregressive":
             if target_ids is None:
                 raise ad.UsageError("autoregressive decoder needs target ids "
                                     "for teacher forcing")
             ar_states = self.ar_context(target_ids, length)
         token_probs = self.token_distributions(prep.encoded, ar_states)
-        probs = self.output_distributions(token_probs, mixing)
-        return TransductionOutput(prep.encoded, prep.fertility, marg, ss, perm,
-                                  mixing, token_probs, probs, log_len)
+        probs = self.output_distributions(token_probs, st.mixing)
+        return TransductionOutput(prep.encoded, prep.fertility, st.marginal,
+                                  st.span_scores, st.permutation, st.mixing,
+                                  token_probs, probs, st.log_length)
 
     def transduce(self, source_ids: Sequence[int], length: int,
                   target_ids: Sequence[int] | None = None) -> TransductionOutput:

@@ -251,6 +251,7 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
         started = time.perf_counter()
         rng.shuffle(order)
         total = 0.0
+        grad_norms = []
         guided = epoch < config.guidance_epochs
         for idx in order:
             src, tgt = train_pairs[idx]
@@ -263,7 +264,7 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, example {idx}")
             ad.backward(loss)
-            clip_gradients(model.store, config.clip_norm)
+            grad_norms.append(clip_gradients(model.store, config.clip_norm))
             optimizer.step()
             total += value
         dev_em = _dev_exact_match(model, dev_pairs)
@@ -271,6 +272,9 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
             "epoch": epoch,
             "train_loss": total / max(len(train_pairs), 1),
             "dev_exact_match": dev_em,
+            # global gradient norm before clipping, over the epoch's steps
+            "grad_norm_mean": sum(grad_norms) / max(len(grad_norms), 1),
+            "grad_norm_max": max(grad_norms, default=0.0),
             "wall_ms": (time.perf_counter() - started) * 1000.0,
         }
         metrics.append(entry)

@@ -1,10 +1,12 @@
 """Command-line surface: data generation, the tiny pipeline, check suites."""
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from structran import checks
-from structran.cli import main
+from structran.cli import load_checkpoint, main
 
 MIRRORS = [(["a", "b"], ["a", "b", "b", "a"]),
            (["b", "c"], ["b", "c", "c", "b"]),
@@ -177,6 +179,90 @@ class TestTrainPredict:
                    "--out", str(tmp_path / "out.jsonl")])
         assert rc == 1
         assert "line 1" in capsys.readouterr().err
+
+
+@pytest.fixture
+def trained(tmp_path, corpus):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    ckpt = tmp_path / "run" / "model.ckpt"
+    assert main(["train", "--config", str(config), "--data", str(corpus),
+                 "--out", str(ckpt)]) == 0
+    return config, ckpt
+
+
+class TestCheckpointFiles:
+    def predict_with(self, tmp_path, corpus, ckpt, payload):
+        bad = tmp_path / "bad" / "model.ckpt"
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_bytes(payload)
+        (bad.parent / "model.ckpt.meta.json").write_bytes(
+            Path(f"{ckpt}.meta.json").read_bytes())
+        return main(["predict", "--ckpt", str(bad),
+                     "--input", str(corpus / "test.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")])
+
+    def test_truncated_checkpoint_fails_loudly(self, tmp_path, corpus, trained,
+                                               capsys):
+        _, ckpt = trained
+        blob = ckpt.read_bytes()
+        # header: magic, version, count (16 bytes); then the first name
+        # "emb_src" (length at 16..19, bytes 20..26), then its array
+        cuts = [(0, "header"), (3, "header"), (12, "header"),
+                (18, "name 0"), (22, "name 0"), (29, "array 'emb_src'"),
+                (len(blob) // 2, "array"), (len(blob) - 1, "array")]
+        for cut, what in cuts:
+            assert self.predict_with(tmp_path, corpus, ckpt, blob[:cut]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "model.ckpt" in err
+            assert "truncated checkpoint" in err and what in err, (cut, err)
+
+    def test_trailing_bytes_fail_loudly(self, tmp_path, corpus, trained, capsys):
+        _, ckpt = trained
+        payload = ckpt.read_bytes() + b"\x00"
+        assert self.predict_with(tmp_path, corpus, ckpt, payload) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1 trailing bytes" in err
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, trained,
+                                                       monkeypatch):
+        _, ckpt = trained
+        before = ckpt.read_bytes()
+        listing = sorted(ckpt.parent.iterdir())
+        model, _, _ = load_checkpoint(ckpt)
+        for _, node in model.store.items():
+            node.value += 1.0
+        written = []
+
+        def failing(arr, dtype=None):
+            if written:  # the first array is already in the file
+                raise OSError("disk full")
+            written.append(arr)
+            return np.asarray(arr, dtype=dtype)
+
+        monkeypatch.setattr(np, "ascontiguousarray", failing)
+        with pytest.raises(OSError, match="disk full"):
+            model.store.save(ckpt)
+        assert ckpt.read_bytes() == before
+        assert sorted(ckpt.parent.iterdir()) == listing
+
+    def test_failed_meta_write_keeps_the_previous_file(self, tmp_path, corpus,
+                                                       trained, monkeypatch,
+                                                       capsys):
+        config, ckpt = trained
+        meta = Path(f"{ckpt}.meta.json")
+        before = meta.read_bytes()
+
+        def failing(obj, fh, **kwargs):
+            fh.write("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing)
+        assert main(["train", "--config", str(config), "--data", str(corpus),
+                     "--out", str(ckpt)]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert meta.read_bytes() == before
+        assert not [p for p in ckpt.parent.iterdir() if p.suffix == ".tmp"]
 
 
 class TestCheckCommands:

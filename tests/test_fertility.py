@@ -146,9 +146,16 @@ class TestMarginalFertility:
         root = ad.log(ad.sum_(ad.mul(mf.tensor, ad.constant(mask.astype(float)))))
         ad.backward(root)
         fd_arr = logits.copy()
-        numeric = oracles.finite_difference_grad(
-            lambda: float(loss_value(fd_arr).value), [fd_arr])
-        assert oracles.max_relative_error([node.grad], numeric) <= 1e-4
+
+        def fd(step):
+            return oracles.finite_difference_grad(
+                lambda: float(loss_value(fd_arr).value), [fd_arr], step)[0]
+
+        # Richardson pair, as in checks.run_model_case: the h^2 term cancels,
+        # so h can be large enough that a last-bit change of the loss is not
+        # amplified into a visible error at logits whose true gradient is 0.
+        numeric = (4.0 * fd(1e-3) - fd(2e-3)) / 3.0
+        assert oracles.max_relative_error([node.grad], [numeric]) <= 1e-4
 
 
 class TestExpectedFertilities:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from structran import autodiff as ad
-from structran import inference, oracles
+from structran import fertility, inference, oracles, reordering
 from structran.data import Vocabulary
 from structran.grammar import GrammarError, parse_grammar
 from structran.inference import (DecodeResult, InferenceError, NoParseError,
@@ -271,6 +271,54 @@ class TestPredictAutoregressive:
         got = predict_autoregressive(m, src, k=len(lengths))
         assert (got.length, got.tokens) == best[:2]
         assert got.log_score == pytest.approx(best[2], abs=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_teacher_forced_complete(self, k):
+        # sources long enough that the best lengths need several decoder steps
+        for seed, src in enumerate([[2, 1, 3], [0, 3, 1, 2], [1, 1, 2], [3, 0, 0, 1]]):
+            m = self.ar_model(seed=seed, sharp=True)
+            got = predict_autoregressive(m, src, k=k)
+            ys = np.array(got.tokens, dtype=np.intp)
+            with ad.no_grad():
+                out = m.complete(m.prepare(src), got.length, ys)
+            probs = out.probs.value
+            assert got.tokens == [int(y) for y in np.argmax(probs, axis=1)]
+            np.testing.assert_allclose(got.distributions, probs, rtol=0, atol=1e-12)
+            score = float(out.log_length.value
+                          + np.log(probs[np.arange(got.length), ys]).sum())
+            assert abs(got.log_score - score) <= 1e-12
+
+    def test_structure_is_built_once_per_candidate_length(self, monkeypatch):
+        m = self.ar_model(seed=4, sharp=True)
+        src = [0, 2, 1]
+        k = 3
+        with ad.no_grad():
+            lengths = top_lengths(m.prepare(src).length_probs.value, k)
+        assert len(lengths) == k
+        calls = {"perm": 0, "marg": 0}
+        steps = []
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(reordering, "expected_permutation",
+                            counted("perm", reordering.expected_permutation))
+        monkeypatch.setattr(fertility, "marginal_fertility",
+                            counted("marg", fertility.marginal_fertility))
+        lstm = Model._lstm
+
+        def recorded_lstm(self, prefix, inputs, state=None):
+            if prefix == "ar":
+                steps.append(inputs.shape[0])
+            return lstm(self, prefix, inputs, state)
+
+        monkeypatch.setattr(Model, "_lstm", recorded_lstm)
+        predict_autoregressive(m, src, k=k)
+        assert calls == {"perm": k, "marg": k}
+        assert steps == [1] * sum(length - 1 for length in lengths)
 
     def test_fixed_model_is_deterministic(self):
         m = self.ar_model(seed=9)

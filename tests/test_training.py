@@ -199,7 +199,8 @@ class TestTrainLoop:
             cfg = training.TrainConfig(lambda_length=1.0, lambda_guidance=0.0,
                                        epochs=3, seed=5)
             res = training.train(m, self._pairs(), self._pairs(), cfg)
-            runs.append([(e["epoch"], e["train_loss"], e["dev_exact_match"])
+            runs.append([(e["epoch"], e["train_loss"], e["dev_exact_match"],
+                          e["grad_norm_mean"], e["grad_norm_max"])
                          for e in res.metrics])
         assert runs[0] == runs[1]
 
@@ -217,7 +218,23 @@ class TestTrainLoop:
         res = training.train(m, self._pairs(), [], cfg, metrics_path=path)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert lines == res.metrics
-        assert set(lines[0]) == {"epoch", "train_loss", "dev_exact_match", "wall_ms"}
+        assert set(lines[0]) == {"epoch", "train_loss", "dev_exact_match",
+                                 "grad_norm_mean", "grad_norm_max", "wall_ms"}
+        for entry in lines:
+            assert 0.0 < entry["grad_norm_mean"] <= entry["grad_norm_max"]
+
+    def test_grad_norm_is_taken_before_clipping(self):
+        cfg = training.TrainConfig(lambda_guidance=0.0, epochs=1, seed=1,
+                                   clip_norm=1e-6)
+        src, tgt = self._pairs()[0]
+        m = tiny_model()
+        loss, _ = training.example_loss(m, src, tgt, cfg)
+        ad.backward(loss)
+        want = ad.global_grad_norm(m.store)
+        res = training.train(tiny_model(), self._pairs(), [], cfg)
+        assert want > 1e-3
+        assert res.metrics[0]["grad_norm_max"] == pytest.approx(want, rel=1e-12)
+        assert res.metrics[0]["grad_norm_mean"] == res.metrics[0]["grad_norm_max"]
 
     def test_best_dev_state_is_restored(self):
         m = tiny_model(skip_scale=0.0)
