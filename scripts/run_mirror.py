@@ -6,12 +6,12 @@ Example:
     python3 scripts/run_mirror.py --setup A --config configs/mirror_a.json \
         --seeds 0 1 2 --data-seed 1
 
-Prints one row per seed (best dev exact match, test exact match, wall
-time) and the across-seed medians.  Models and metrics land under
+Prints one row per seed (best dev exact match, test exact match with its
+misses by cause, wall time) and the across-seed medians.  The config file
+is read as `structran train` reads it.  Models and metrics land under
 --out-dir when given; nothing is written otherwise.
 """
 import argparse
-import json
 import statistics
 import sys
 import time
@@ -19,20 +19,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from structran import data, inference, training
-from structran.model import Model, ModelConfig
-
-
-def evaluate_exact_match(model, pairs, target_vocab):
-    hits = 0
-    for src, tgt in pairs:
-        try:
-            result = inference.decode(model, src, k=1)
-        except inference.InferenceError:
-            continue
-        if result.tokens == [int(t) for t in tgt]:
-            hits += 1
-    return hits / len(pairs)
+from structran import data, training
+from structran.cli import build_model, load_config_file
+from structran.model import ModelConfig
 
 
 def run_seed(seed, splits, model_raw, train_raw, out_dir):
@@ -44,16 +33,16 @@ def run_seed(seed, splits, model_raw, train_raw, out_dir):
                                        "target_vocab": len(target_vocab),
                                        "seed": seed})
     train_cfg = training.TrainConfig.from_dict({**train_raw, "seed": seed})
-    model = Model(model_cfg)
+    model = build_model(model_cfg, source_vocab, target_vocab)
     metrics_path = out_dir / f"seed{seed}.metrics.jsonl" if out_dir else None
     started = time.perf_counter()
     result = training.train(model, encode("train"), encode("dev"), train_cfg,
                             metrics_path=metrics_path)
-    test_em = evaluate_exact_match(model, encode("test"), target_vocab)
+    test = training.exact_match(model, encode("test"))
     wall = time.perf_counter() - started
     if out_dir:
         model.store.save(out_dir / f"seed{seed}.ckpt")
-    return result.best_dev, test_em, wall
+    return result.best_dev, test, wall
 
 
 def main(argv=None):
@@ -65,7 +54,7 @@ def main(argv=None):
     parser.add_argument("--out-dir", default=None)
     args = parser.parse_args(argv)
 
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    model_raw, train_raw = load_config_file(args.config)
     generator = {"A": data.generate_mirror_A, "B": data.generate_mirror_B}
     splits = generator[args.setup](args.data_seed)
 
@@ -78,11 +67,12 @@ def main(argv=None):
     print(f"setup {args.setup}, data seed {args.data_seed}, "
           f"config {args.config}")
     for seed in args.seeds:
-        dev, test, wall = run_seed(seed, splits, raw.get("model", {}),
-                                   raw.get("training", {}), out_dir)
+        dev, test, wall = run_seed(seed, splits, model_raw, train_raw, out_dir)
         devs.append(dev)
-        tests.append(test)
-        print(f"seed {seed}: dev {dev:.3f}  test {test:.3f}  ({wall:.0f}s)")
+        tests.append(test.rate)
+        misses = ", ".join(f"{k} {v}" for k, v in test.misses().items())
+        print(f"seed {seed}: dev {dev:.3f}  test {test.rate:.3f} "
+              f"(misses: {misses})  ({wall:.0f}s)")
     print(f"median over {len(args.seeds)} seeds: "
           f"dev {statistics.median(devs):.3f}  "
           f"test {statistics.median(tests):.3f}")

@@ -340,9 +340,6 @@ def gather(a: Node, indices) -> Node:
     return make_node(v, (a,), bw)
 
 
-embedding = gather
-
-
 def reshape(a: Node, shape) -> Node:
     a = _wrap(a)
     try:

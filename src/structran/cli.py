@@ -4,27 +4,30 @@ Subcommands: generate-data, train, predict, evaluate, gradcheck,
 oracle-check.  Model and training hyperparameters come from a JSON
 config file with two sections, "model" and "training"; unknown keys in
 either section are errors.  A checkpoint CKPT is accompanied by
-CKPT.meta.json (configs and vocabularies) and CKPT.metrics.jsonl
-(per-epoch training metrics).
+CKPT.meta.json (configs, vocabularies and the checkpoint's sha256) and
+CKPT.metrics.jsonl (per-epoch training metrics).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import checks, data, grammar as grammar_mod, inference, training
-from .autodiff import atomic_open
+from .autodiff import UsageError, atomic_open
 from .model import Model, ModelConfig
 
 
 def _read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def cmd_generate_data(args) -> int:
@@ -38,7 +41,8 @@ def cmd_generate_data(args) -> int:
     return 0
 
 
-def _load_config_file(path) -> tuple[dict, dict]:
+def load_config_file(path) -> tuple[dict, dict]:
+    """The "model" and "training" sections of a config file."""
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
@@ -48,8 +52,17 @@ def _load_config_file(path) -> tuple[dict, dict]:
     return dict(raw.get("model", {})), dict(raw.get("training", {}))
 
 
+def build_model(config: ModelConfig, source_vocab: data.Vocabulary,
+                target_vocab: data.Vocabulary) -> Model:
+    """A fresh model; a copy decoder maps source to target ids by token."""
+    copy_ids = None
+    if config.decoder == "copy":
+        copy_ids = data.copy_id_map(source_vocab, target_vocab)
+    return Model(config, copy_ids=copy_ids)
+
+
 def cmd_train(args) -> int:
-    model_raw, train_raw = _load_config_file(args.config)
+    model_raw, train_raw = load_config_file(args.config)
     data_dir = Path(args.data)
     train_examples = data.read_jsonl(data_dir / "train.jsonl")
     dev_examples = data.read_jsonl(data_dir / "dev.jsonl")
@@ -58,10 +71,7 @@ def cmd_train(args) -> int:
     model_raw.setdefault("target_vocab", len(target_vocab))
     model_config = ModelConfig.from_dict(model_raw)
     train_config = training.TrainConfig.from_dict(train_raw)
-    copy_ids = None
-    if model_config.decoder == "copy":
-        copy_ids = data.copy_id_map(source_vocab, target_vocab)
-    model = Model(model_config, copy_ids=copy_ids)
+    model = build_model(model_config, source_vocab, target_vocab)
     train_pairs = data.encode_examples(train_examples, source_vocab, target_vocab)
     dev_pairs = data.encode_examples(dev_examples, source_vocab, target_vocab)
     ckpt = Path(args.out)
@@ -77,6 +87,7 @@ def cmd_train(args) -> int:
         "target_vocab": target_vocab.id_to_token,
         "best_dev": result.best_dev,
         "best_epoch": result.best_epoch,
+        "checkpoint_sha256": _sha256(ckpt),
     }
     with atomic_open(f"{ckpt}.meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
@@ -90,60 +101,42 @@ def load_checkpoint(ckpt) -> tuple[Model, data.Vocabulary, data.Vocabulary]:
     model_config = ModelConfig.from_dict(meta["model"])
     source_vocab = data.Vocabulary(list(meta["source_vocab"]))
     target_vocab = data.Vocabulary(list(meta["target_vocab"]))
-    copy_ids = None
-    if model_config.decoder == "copy":
-        copy_ids = data.copy_id_map(source_vocab, target_vocab)
-    model = Model(model_config, copy_ids=copy_ids)
+    model = build_model(model_config, source_vocab, target_vocab)
     model.store.restore(ckpt)
+    # the digest ties the weights to the configs and vocabularies beside them
+    if meta.get("checkpoint_sha256") != _sha256(ckpt):
+        raise UsageError(
+            f"{ckpt} does not match {ckpt}.meta.json: the checkpoint's sha256 "
+            f"differs from the one recorded when they were written together")
     return model, source_vocab, target_vocab
 
 
 def cmd_predict(args) -> int:
     model, source_vocab, target_vocab = load_checkpoint(args.ckpt)
     g = grammar_mod.load_grammar(args.grammar) if args.grammar else None
-    written = 0
-    with open(args.input, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    with open(args.out, "w", encoding="utf-8") as out:
-        for lineno, line in enumerate(lines, start=1):
+    rows = data.read_fields(args.input, "source")
+    with atomic_open(args.out, "w", encoding="utf-8") as out:
+        for lineno, source in rows:
             try:
-                obj = json.loads(line)
-                source = [str(t) for t in obj["source"]]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                result = inference.decode(model, source_vocab.encode(source),
+                                          k=args.top_k, grammar=g,
+                                          target_vocab=target_vocab)
+            except (data.DatasetError, inference.InferenceError) as exc:
                 raise data.DatasetError(
                     f"{args.input}: line {lineno}: {exc}") from exc
-            ids = source_vocab.encode(source)
-            result = inference.decode(model, ids, k=args.top_k, grammar=g,
-                                      target_vocab=target_vocab)
             out.write(json.dumps({
                 "source": source,
                 "tokens": target_vocab.decode(result.tokens),
                 "length": result.length,
                 "log_score": result.log_score,
             }) + "\n")
-            written += 1
-    print(f"wrote {written} predictions to {args.out}")
+    print(f"wrote {len(rows)} predictions to {args.out}")
     return 0
 
 
-def _read_field(path, field: str) -> list[list[str]]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                rows.append([str(t) for t in obj[field]])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise data.DatasetError(f"{path}: line {lineno}: {exc}") from exc
-    return rows
-
-
 def cmd_evaluate(args) -> int:
-    predictions = _read_field(args.pred, "tokens")
-    references = _read_field(args.gold, "target")
+    predictions = [tokens for _, tokens in data.read_fields(args.pred, "tokens")]
+    references = [target for _, target in data.read_fields(args.gold, "target")]
     print(json.dumps({"exact_match": data.exact_match(predictions, references)}))
     return 0
 

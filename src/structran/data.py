@@ -99,8 +99,13 @@ def write_jsonl(path, examples: Iterable[Example]) -> None:
             fh.write(json.dumps({"source": ex.source, "target": ex.target}) + "\n")
 
 
-def read_jsonl(path) -> list[Example]:
-    examples = []
+def read_fields(path, *fields: str) -> list[tuple]:
+    """(line number, one token list per field) for each non-blank line.
+
+    Every field must be a non-empty JSON array of strings or numbers; any
+    other line raises DatasetError naming the path and the line.
+    """
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -110,16 +115,24 @@ def read_jsonl(path) -> list[Example]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
-            if (not isinstance(obj, dict) or "source" not in obj
-                    or "target" not in obj):
-                raise DatasetError(
-                    f"{path}: line {lineno}: expected source and target keys")
-            source = [str(t) for t in obj["source"]]
-            target = [str(t) for t in obj["target"]]
-            if not source or not target:
-                raise DatasetError(f"{path}: line {lineno}: empty sequence")
-            examples.append(Example(source, target))
-    return examples
+            row = [lineno]
+            for name in fields:
+                value = obj.get(name) if isinstance(obj, dict) else None
+                if not isinstance(value, list) or not all(
+                        isinstance(t, (str, int, float)) for t in value):
+                    raise DatasetError(f"{path}: line {lineno}: expected "
+                                       f"{name!r} to be a JSON array of tokens")
+                if not value:
+                    raise DatasetError(
+                        f"{path}: line {lineno}: empty sequence {name!r}")
+                row.append([str(t) for t in value])
+            rows.append(tuple(row))
+    return rows
+
+
+def read_jsonl(path) -> list[Example]:
+    return [Example(source, target)
+            for _, source, target in read_fields(path, "source", "target")]
 
 
 @dataclass

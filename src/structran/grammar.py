@@ -47,10 +47,6 @@ class Grammar:
         return frozenset({a for a, _, _ in self.binary}
                          | {a for a, _ in self.lexical})
 
-    @property
-    def terminals(self) -> frozenset:
-        return frozenset(t for _, t in self.lexical)
-
 
 def parse_grammar(text: str) -> Grammar:
     start = None

@@ -1,9 +1,10 @@
 """Decoding: top-k length search with argmax or grammar-constrained output.
 
-The model scores a candidate as log P(length | source) plus the summed
-log probabilities of the chosen tokens.  Plain decoding takes the
-per-position argmax; grammar-constrained decoding replaces it with a
-Viterbi CYK pass that only considers strings the grammar derives.
+decode is the one decoding routine.  The model scores a candidate as
+log P(length | source) plus the summed log probabilities of the chosen
+tokens.  Plain decoding takes the per-position argmax; grammar-constrained
+decoding replaces it with a Viterbi CYK pass that only considers strings
+the grammar derives.
 """
 
 from __future__ import annotations
@@ -46,30 +47,6 @@ def top_lengths(length_probs: np.ndarray, k: int) -> list[int]:
     lengths, mass = lengths[keep], mass[keep]
     order = np.argsort(-mass, kind="stable")
     return [int(v) for v in lengths[order][:k]]
-
-
-def predict(model: Model, source_ids, k: int = 1) -> DecodeResult:
-    """Best (length, argmax string) among the top-k candidate lengths."""
-    if k < 1:
-        raise ad.UsageError("k must be at least 1")
-    if model.config.decoder == "autoregressive":
-        raise ad.UsageError("use predict_autoregressive for this decoder")
-    with ad.no_grad():
-        prep = model.prepare(source_ids)
-        lengths = top_lengths(prep.length_probs.value, k)
-        if not lengths:
-            raise InferenceError("no feasible output length for this source")
-        best = None
-        for length in lengths:
-            out = model.complete(prep, length)
-            probs = out.probs.value
-            ys = np.argmax(probs, axis=1)
-            with np.errstate(divide="ignore"):
-                score = float(out.log_length.value
-                              + np.log(probs[np.arange(length), ys]).sum())
-            if best is None or score > best.log_score:
-                best = DecodeResult([int(y) for y in ys], length, score, probs)
-        return best
 
 
 def viterbi_cyk(distributions: np.ndarray, alphabet: Sequence[str],
@@ -122,16 +99,39 @@ def viterbi_cyk(distributions: np.ndarray, alphabet: Sequence[str],
     return rebuild(grammar.start, 0, length - 1), float(score)
 
 
-def predict_grammar(model: Model, source_ids, grammar: Grammar,
-                    target_vocab, k: int = 5) -> DecodeResult:
-    """Like predict, but every candidate string comes from viterbi_cyk.
+def _greedy_rows(model: Model, prep, length: int) -> tuple[float, np.ndarray]:
+    """Autoregressive rows: the target-independent structure is built once,
+    then the decoder LSTM advances one argmax token per position."""
+    st = model.structure(prep, length)
+    rows = []
+    state = None
+    for pos in range(length):
+        previous = int(np.argmax(rows[-1])) if rows else None
+        ar_row, state = model.ar_step(previous, state)
+        token_probs = model.token_distributions(prep.encoded, ar_row)
+        column = ad.slice_(st.mixing, (slice(None), slice(pos, pos + 1)))
+        rows.append(model.output_distributions(token_probs, column).value[0])
+    return st.log_length.value, np.stack(rows)
 
-    target_vocab maps the model's output columns to terminal strings
-    (a data.Vocabulary).  Candidate lengths with no parse are skipped.
+
+def decode(model: Model, source_ids, k: int | None = None,
+           grammar: Grammar | None = None, target_vocab=None) -> DecodeResult:
+    """Best (length, string) among the top-k candidate output lengths.
+
+    Each length's rows come from Model.complete, or from greedy decoder
+    steps for the autoregressive decoder.  The string is their argmax or,
+    with a grammar, the viterbi_cyk parse; target_vocab (a
+    data.Vocabulary) names the grammar's terminals, and lengths with no
+    parse are skipped.  k defaults to 1, or 5 with a grammar.
     """
+    if k is None:
+        k = 1 if grammar is None else 5
     if k < 1:
         raise ad.UsageError("k must be at least 1")
-    if model.config.decoder == "autoregressive":
+    greedy = model.config.decoder == "autoregressive"
+    if grammar is not None and target_vocab is None:
+        raise ad.UsageError("grammar decoding needs the target vocabulary")
+    if grammar is not None and greedy:
         raise ad.UsageError("grammar decoding needs a position-independent decoder")
     with ad.no_grad():
         prep = model.prepare(source_ids)
@@ -139,71 +139,29 @@ def predict_grammar(model: Model, source_ids, grammar: Grammar,
         if not lengths:
             raise InferenceError("no feasible output length for this source")
         best = None
-        attempted = []
+        unparsed = []
         for length in lengths:
-            out = model.complete(prep, length)
-            probs = out.probs.value
-            try:
-                tokens, lex_score = viterbi_cyk(probs, target_vocab.id_to_token,
-                                                grammar)
-            except NoParseError:
-                attempted.append(length)
-                continue
-            score = float(out.log_length.value + lex_score)
+            if greedy:
+                log_length, probs = _greedy_rows(model, prep, length)
+            else:
+                out = model.complete(prep, length)
+                log_length, probs = out.log_length.value, out.probs.value
+            if grammar is None:
+                ys = np.argmax(probs, axis=1)
+                with np.errstate(divide="ignore"):
+                    lex_score = np.log(probs[np.arange(length), ys]).sum()
+            else:
+                try:
+                    tokens, lex_score = viterbi_cyk(
+                        probs, target_vocab.id_to_token, grammar)
+                except NoParseError:
+                    unparsed.append(length)
+                    continue
+                ys = target_vocab.encode(tokens)
+            score = float(log_length + lex_score)
             if best is None or score > best.log_score:
-                ids = [int(i) for i in target_vocab.encode(tokens)]
-                best = DecodeResult(ids, length, score, probs)
+                best = DecodeResult([int(y) for y in ys], length, score, probs)
         if best is None:
             raise InferenceError(
-                f"no parse at any candidate length; attempted {attempted}")
+                f"no parse at any candidate length; attempted {unparsed}")
         return best
-
-
-def predict_autoregressive(model: Model, source_ids, k: int = 1) -> DecodeResult:
-    """Greedy left-to-right decoding per candidate length.
-
-    The fertility and reordering structure does not depend on the target
-    prefix, so it is built once per length; the decoder LSTM then advances
-    one token per position and each position's row is emitted on its own.
-    """
-    if k < 1:
-        raise ad.UsageError("k must be at least 1")
-    if model.config.decoder != "autoregressive":
-        raise ad.UsageError("model does not use the autoregressive decoder")
-    with ad.no_grad():
-        prep = model.prepare(source_ids)
-        lengths = top_lengths(prep.length_probs.value, k)
-        if not lengths:
-            raise InferenceError("no feasible output length for this source")
-        best = None
-        for length in lengths:
-            st = model.structure(prep, length)
-            ys: list[int] = []
-            rows = []
-            state = None
-            for pos in range(length):
-                ar_row, state = model.ar_step(ys[-1] if ys else None, state)
-                token_probs = model.token_distributions(prep.encoded, ar_row)
-                column = ad.slice_(st.mixing, (slice(None), slice(pos, pos + 1)))
-                rows.append(model.output_distributions(token_probs, column).value[0])
-                ys.append(int(np.argmax(rows[-1])))
-            probs = np.stack(rows)
-            with np.errstate(divide="ignore"):
-                score = float(st.log_length.value
-                              + np.log(probs[np.arange(length), ys]).sum())
-            if best is None or score > best.log_score:
-                best = DecodeResult(ys, length, score, probs)
-        return best
-
-
-def decode(model: Model, source_ids, k: int | None = None,
-           grammar: Grammar | None = None, target_vocab=None) -> DecodeResult:
-    """Dispatch to the right decoding routine for this model."""
-    if grammar is not None:
-        if target_vocab is None:
-            raise ad.UsageError("grammar decoding needs the target vocabulary")
-        return predict_grammar(model, source_ids, grammar, target_vocab,
-                               5 if k is None else k)
-    if model.config.decoder == "autoregressive":
-        return predict_autoregressive(model, source_ids, 1 if k is None else k)
-    return predict(model, source_ids, 1 if k is None else k)

@@ -208,18 +208,41 @@ class TrainResult:
     final_state: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
 
 
-def _dev_exact_match(model: Model, dev_pairs) -> float:
-    if not dev_pairs:
-        return 0.0
-    hits = 0
-    for src, tgt in dev_pairs:
+@dataclass
+class ExactMatch:
+    """Exact-match tally of decoded pairs, with the misses split by cause."""
+
+    hits: int = 0
+    length: int = 0        # decoded to the wrong length
+    tokens: int = 0        # right length, wrong tokens
+    no_candidate: int = 0  # InferenceError: no feasible length or no parse
+
+    @property
+    def rate(self) -> float:
+        total = self.hits + self.length + self.tokens + self.no_candidate
+        return self.hits / total if total else 0.0
+
+    def misses(self) -> dict[str, int]:
+        return {"length": self.length, "tokens": self.tokens,
+                "no_candidate": self.no_candidate}
+
+
+def exact_match(model: Model, pairs) -> ExactMatch:
+    """Score inference.decode at its defaults on (source_ids, target_ids) pairs."""
+    tally = ExactMatch()
+    for src, tgt in pairs:
         try:
             result = inference.decode(model, src)
         except inference.InferenceError:
+            tally.no_candidate += 1
             continue
-        if result.length == len(tgt) and np.array_equal(result.tokens, tgt):
-            hits += 1
-    return hits / len(dev_pairs)
+        if result.length != len(tgt):
+            tally.length += 1
+        elif np.array_equal(result.tokens, tgt):
+            tally.hits += 1
+        else:
+            tally.tokens += 1
+    return tally
 
 
 def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
@@ -267,11 +290,13 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
             grad_norms.append(clip_gradients(model.store, config.clip_norm))
             optimizer.step()
             total += value
-        dev_em = _dev_exact_match(model, dev_pairs)
+        dev = exact_match(model, dev_pairs)
+        dev_em = dev.rate
         entry = {
             "epoch": epoch,
             "train_loss": total / max(len(train_pairs), 1),
             "dev_exact_match": dev_em,
+            "dev_misses": dev.misses(),
             # global gradient norm before clipping, over the epoch's steps
             "grad_norm_mean": sum(grad_norms) / max(len(grad_norms), 1),
             "grad_norm_max": max(grad_norms, default=0.0),

@@ -37,18 +37,6 @@ def load_config(name):
     return raw["model"], raw["training"]
 
 
-def eval_exact_match(model, pairs):
-    hits = 0
-    for src, tgt in pairs:
-        try:
-            result = inference.decode(model, src, k=1)
-        except inference.InferenceError:
-            continue
-        if result.tokens == [int(t) for t in tgt]:
-            hits += 1
-    return hits / len(pairs)
-
-
 def train_run(splits, config_name, seed):
     model_raw, train_raw = load_config(config_name)
     source_vocab, target_vocab = data.build_vocabularies(splits["train"])
@@ -62,7 +50,7 @@ def train_run(splits, config_name, seed):
     started = time.perf_counter()
     result = training.train(model, encode("train"), encode("dev"), train_cfg)
     test_pairs = encode("test")
-    test_em = eval_exact_match(model, test_pairs)
+    test_em = training.exact_match(model, test_pairs).rate
     return SimpleNamespace(model=model, best_dev=result.best_dev,
                            test_em=test_em, test_pairs=test_pairs,
                            source_vocab=source_vocab, target_vocab=target_vocab,

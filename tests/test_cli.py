@@ -191,6 +191,80 @@ def trained(tmp_path, corpus):
     return config, ckpt
 
 
+class TestMalformedInput:
+    """Each bad line fails the command with `error: FILE: line N: ...`."""
+
+    def test_train_rejects_a_string_sequence(self, tmp_path, corpus, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+        with open(corpus / "dev.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"source": "ab", "target": ["a", "b", "b", "a"]}\n')
+        rc = main(["train", "--config", str(config), "--data", str(corpus),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus / 'dev.jsonl'}: line 2: ")
+        assert "'source'" in err
+
+    def test_evaluate_rejects_a_number(self, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(pred, [{"tokens": ["a"]}, {"tokens": 5}])
+        write_jsonl(gold, [{"target": ["a"]}, {"target": ["b"]}])
+        assert main(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pred}: line 2: ") and "'tokens'" in err
+
+    def predict_lines(self, tmp_path, ckpt, rows, *flags):
+        source = tmp_path / "in.jsonl"
+        write_jsonl(source, rows)
+        out = tmp_path / "pred.jsonl"
+        out.write_text("previous\n", encoding="utf-8")
+        rc = main(["predict", "--ckpt", str(ckpt), "--input", str(source),
+                   "--out", str(out), *flags])
+        # a failed run leaves the previous output and no temporary file
+        assert out.read_text(encoding="utf-8") == "previous\n"
+        assert not list(tmp_path.glob("*.tmp"))
+        return rc, source
+
+    def test_predict_rejects_a_string_source(self, tmp_path, trained, capsys):
+        _, ckpt = trained
+        rc, source = self.predict_lines(tmp_path, ckpt, [{"source": "ab"}])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {source}: line 1: ") and "'source'" in err
+
+    def test_predict_names_the_line_of_an_unknown_token(self, tmp_path, trained,
+                                                        capsys):
+        _, ckpt = trained
+        rc, source = self.predict_lines(
+            tmp_path, ckpt, [{"source": ["a", "b"]}, {"source": ["a", "q"]}])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {source}: line 2: token 'q' not in vocabulary\n")
+
+    def test_predict_names_the_line_of_an_empty_source(self, tmp_path, trained,
+                                                       capsys):
+        _, ckpt = trained
+        rc, source = self.predict_lines(
+            tmp_path, ckpt, [{"source": ["a"]}, {"source": []}])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {source}: line 2: empty")
+
+    def test_predict_names_the_line_without_a_candidate(self, tmp_path,
+                                                        trained, capsys):
+        _, ckpt = trained
+        grammar = tmp_path / "none.cfg"
+        grammar.write_text("%start S\nS -> 'zz'\n", encoding="utf-8")
+        rc, source = self.predict_lines(tmp_path, ckpt, [{"source": ["c", "b"]}],
+                                        "--grammar", str(grammar))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {source}: line 1: no parse at any "
+                              f"candidate length")
+
+
 class TestCheckpointFiles:
     def predict_with(self, tmp_path, corpus, ckpt, payload):
         bad = tmp_path / "bad" / "model.ckpt"
@@ -249,7 +323,7 @@ class TestCheckpointFiles:
     def test_failed_meta_write_keeps_the_previous_file(self, tmp_path, corpus,
                                                        trained, monkeypatch,
                                                        capsys):
-        config, ckpt = trained
+        _, ckpt = trained
         meta = Path(f"{ckpt}.meta.json")
         before = meta.read_bytes()
 
@@ -257,12 +331,26 @@ class TestCheckpointFiles:
             fh.write("{")
             raise OSError("disk full")
 
+        # another initialization, so the new weights differ from those the
+        # meta file was written with
+        reseeded = tmp_path / "reseeded.json"
+        reseeded.write_text(json.dumps({**TINY_CONFIG, "model": {
+            **TINY_CONFIG["model"], "seed": 1}}), encoding="utf-8")
+        weights = ckpt.read_bytes()
         monkeypatch.setattr(json, "dump", failing)
-        assert main(["train", "--config", str(config), "--data", str(corpus),
+        assert main(["train", "--config", str(reseeded), "--data", str(corpus),
                      "--out", str(ckpt)]) == 1
         assert "disk full" in capsys.readouterr().err
         assert meta.read_bytes() == before
         assert not [p for p in ckpt.parent.iterdir() if p.suffix == ".tmp"]
+
+        # the new weights beside the old meta file are refused
+        assert ckpt.read_bytes() != weights
+        assert main(["predict", "--ckpt", str(ckpt),
+                     "--input", str(corpus / "test.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt} does not match {meta}")
 
 
 class TestCheckCommands:

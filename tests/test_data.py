@@ -129,6 +129,25 @@ class TestJsonl:
         with pytest.raises(data.DatasetError, match="empty"):
             data.read_jsonl(path)
 
+    @pytest.mark.parametrize("line", [
+        '{"source": "abc", "target": ["a"]}',  # a string is not split
+        '{"source": 5, "target": ["a"]}',
+        '{"source": ["a"], "target": null}',
+        '{"source": [["a"]], "target": ["a"]}',
+        '["a", "b"]',
+    ])
+    def test_field_that_is_not_an_array_reports_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"source": ["a"], "target": ["a", "a"]}\n\n' + line + "\n")
+        with pytest.raises(data.DatasetError,
+                           match=r"bad\.jsonl: line 3: .*JSON array"):
+            data.read_jsonl(path)
+
+    def test_read_fields_numbers_the_lines(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"tokens": ["a"]}\n\n{"tokens": [1, "b"], "x": 0}\n')
+        assert data.read_fields(path, "tokens") == [(1, ["a"]), (3, ["1", "b"])]
+
     def test_writes_are_byte_stable(self, tmp_path):
         examples = data.generate_mirror_A(seed=0)["dev"][:50]
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

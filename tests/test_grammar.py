@@ -20,7 +20,6 @@ class TestParsing:
         assert g.binary == (("S", "A", "B"),)
         assert g.lexical == (("A", "a"), ("B", "b"), ("S", "a"))
         assert g.nonterminals == {"S", "A", "B"}
-        assert g.terminals == {"a", "b"}
 
     def test_comments_and_blank_lines_are_ignored(self):
         g = parse_grammar("\n# only noise\n%start S\n\nS -> 'x'  # tail\n")

@@ -1,4 +1,4 @@
-"""Decoding routines against exhaustive-search oracles."""
+"""inference.decode on every route against exhaustive-search oracles."""
 import math
 import random
 
@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from structran import autodiff as ad
-from structran import fertility, inference, oracles, reordering
+from structran import fertility, oracles, reordering
 from structran.data import Vocabulary
 from structran.grammar import GrammarError, parse_grammar
-from structran.inference import (DecodeResult, InferenceError, NoParseError,
-                                 decode, predict, predict_autoregressive,
-                                 predict_grammar, top_lengths, viterbi_cyk)
+from structran.inference import (InferenceError, NoParseError, decode,
+                                 top_lengths, viterbi_cyk)
 from structran.model import Model, ModelConfig
 
 
@@ -80,7 +79,7 @@ class TestPredict:
             m = small_model(seed=seed, source_vocab=3, max_fertility=2)
             src = [0, 1]
             lengths = feasible_lengths(m, src)
-            got = predict(m, src, k=len(lengths))
+            got = decode(m, src, k=len(lengths))
             llp, tp = oracle_closures(m, src)
             want_l, want_ys, want_score = oracles.exhaustive_decode(
                 llp, tp, lengths, m.config.target_vocab)
@@ -92,27 +91,22 @@ class TestPredict:
         m = small_model()
         src = [2, 0]
         lengths = feasible_lengths(m, src)
-        a = predict(m, src, k=len(lengths))
-        b = predict(m, src, k=100)
+        a = decode(m, src, k=len(lengths))
+        b = decode(m, src, k=100)
         assert (a.tokens, a.length, a.log_score) == (b.tokens, b.length, b.log_score)
 
     def test_result_is_reproducible(self):
         m = small_model(seed=7)
-        a = predict(m, [1, 3], k=3)
-        b = predict(m, [1, 3], k=3)
+        a = decode(m, [1, 3], k=3)
+        b = decode(m, [1, 3], k=3)
         assert a.tokens == b.tokens and a.log_score == b.log_score
 
     def test_k_must_be_positive(self):
         with pytest.raises(ad.UsageError, match="k"):
-            predict(small_model(), [0], k=0)
-
-    def test_autoregressive_models_are_rejected(self):
-        m = small_model(decoder="autoregressive", decoder_hidden=3)
-        with pytest.raises(ad.UsageError, match="predict_autoregressive"):
-            predict(m, [0])
+            decode(small_model(), [0], k=0)
 
     def test_distributions_ride_along(self):
-        got = predict(small_model(), [0, 1], k=1)
+        got = decode(small_model(), [0, 1], k=1)
         assert got.distributions.shape == (got.length, 3)
         assert [int(v) for v in np.argmax(got.distributions, axis=1)] == got.tokens
 
@@ -188,9 +182,9 @@ class TestPredictGrammar:
         m = small_model(seed=2)
         src = [0, 3]
         k = len(feasible_lengths(m, src))
-        plain = predict(m, src, k=k)
-        constrained = predict_grammar(m, src, sigma_star_grammar(),
-                                      target_vocab(), k=k)
+        plain = decode(m, src, k=k)
+        constrained = decode(m, src, k=k, grammar=sigma_star_grammar(),
+                             target_vocab=target_vocab())
         assert constrained.tokens == plain.tokens
         assert constrained.length == plain.length
         assert constrained.log_score == pytest.approx(plain.log_score, abs=1e-9)
@@ -198,7 +192,7 @@ class TestPredictGrammar:
     def test_forced_string_wins_even_when_improbable(self):
         m = small_model(seed=4)
         g = parse_grammar("%start S\nS -> A B\nA -> 'c'\nB -> 'a'\n")
-        got = predict_grammar(m, [1, 2], g, target_vocab(), k=10)
+        got = decode(m, [1, 2], k=10, grammar=g, target_vocab=target_vocab())
         assert got.length == 2
         assert target_vocab().decode(got.tokens) == ["c", "a"]
 
@@ -213,9 +207,11 @@ class TestPredictGrammar:
                 llp, tp, lengths, 3, g, lambda y: TARGET_TOKENS[y])
             if want is None:
                 with pytest.raises(InferenceError, match="attempted"):
-                    predict_grammar(m, src, g, target_vocab(), k=len(lengths))
+                    decode(m, src, k=len(lengths), grammar=g,
+                           target_vocab=target_vocab())
                 continue
-            got = predict_grammar(m, src, g, target_vocab(), k=len(lengths))
+            got = decode(m, src, k=len(lengths), grammar=g,
+                         target_vocab=target_vocab())
             assert (got.length, tuple(got.tokens)) == want[:2]
             assert got.log_score == pytest.approx(want[2], abs=1e-9)
 
@@ -223,7 +219,7 @@ class TestPredictGrammar:
         m = small_model()
         g = parse_grammar("%start S\nS -> 'zz'\n")  # terminal outside the vocab
         with pytest.raises(InferenceError, match=r"attempted \[1(, \d)*\]"):
-            predict_grammar(m, [0], g, target_vocab(), k=10)
+            decode(m, [0], k=10, grammar=g, target_vocab=target_vocab())
 
 
 class TestPredictAutoregressive:
@@ -234,13 +230,9 @@ class TestPredictAutoregressive:
             m.store["out.proj"].value *= 50.0
         return m
 
-    def test_requires_the_autoregressive_decoder(self):
-        with pytest.raises(ad.UsageError, match="autoregressive"):
-            predict_autoregressive(small_model(), [0])
-
     def test_single_position_is_a_plain_argmax(self):
         m = self.ar_model(seed=3, source_vocab=2, max_fertility=1)
-        got = predict_autoregressive(m, [1], k=1)
+        got = decode(m, [1], k=1)
         assert got.length == 1
         with ad.no_grad():
             out = m.complete(m.prepare([1]), 1, np.array([0], dtype=np.intp))
@@ -268,7 +260,7 @@ class TestPredictAutoregressive:
                 if best is None or score > best[2]:
                     best = (l, list(ys), score)
 
-        got = predict_autoregressive(m, src, k=len(lengths))
+        got = decode(m, src, k=len(lengths))
         assert (got.length, got.tokens) == best[:2]
         assert got.log_score == pytest.approx(best[2], abs=1e-9)
 
@@ -277,7 +269,7 @@ class TestPredictAutoregressive:
         # sources long enough that the best lengths need several decoder steps
         for seed, src in enumerate([[2, 1, 3], [0, 3, 1, 2], [1, 1, 2], [3, 0, 0, 1]]):
             m = self.ar_model(seed=seed, sharp=True)
-            got = predict_autoregressive(m, src, k=k)
+            got = decode(m, src, k=k)
             ys = np.array(got.tokens, dtype=np.intp)
             with ad.no_grad():
                 out = m.complete(m.prepare(src), got.length, ys)
@@ -316,37 +308,71 @@ class TestPredictAutoregressive:
             return lstm(self, prefix, inputs, state)
 
         monkeypatch.setattr(Model, "_lstm", recorded_lstm)
-        predict_autoregressive(m, src, k=k)
+        decode(m, src, k=k)
         assert calls == {"perm": k, "marg": k}
         assert steps == [1] * sum(length - 1 for length in lengths)
 
     def test_fixed_model_is_deterministic(self):
         m = self.ar_model(seed=9)
-        a = predict_autoregressive(m, [0, 2], k=2)
-        b = predict_autoregressive(m, [0, 2], k=2)
+        a = decode(m, [0, 2], k=2)
+        b = decode(m, [0, 2], k=2)
         assert a.tokens == b.tokens and a.log_score == b.log_score
 
 
-class TestDecodeDispatch:
-    def test_plain_route_defaults_to_one_length(self):
-        m = small_model(seed=1)
-        got = decode(m, [0, 1])
-        want = predict(m, [0, 1], k=1)
-        assert got.tokens == want.tokens and got.log_score == want.log_score
+def count_complete_calls(monkeypatch):
+    calls = []
+    complete = Model.complete
 
-    def test_grammar_route_defaults_to_five_lengths(self):
+    def counted(self, prep, length, target_ids=None):
+        calls.append(length)
+        return complete(self, prep, length, target_ids)
+
+    monkeypatch.setattr(Model, "complete", counted)
+    return calls
+
+
+class TestDecodeDispatch:
+    def test_plain_route_defaults_to_one_length(self, monkeypatch):
         m = small_model(seed=1)
-        g = sigma_star_grammar()
-        got = decode(m, [0, 1], grammar=g, target_vocab=target_vocab())
-        want = predict_grammar(m, [0, 1], g, target_vocab(), k=5)
-        assert got.tokens == want.tokens and got.log_score == want.log_score
+        src = [0, 1, 2]
+        with ad.no_grad():
+            prep = m.prepare(src)
+            top = top_lengths(prep.length_probs.value, 1)[0]
+            probs = m.complete(prep, top).probs.value
+        calls = count_complete_calls(monkeypatch)
+        got = decode(m, src)
+        assert calls == [top] and got.length == top
+        assert got.tokens == [int(y) for y in np.argmax(probs, axis=1)]
+
+    def test_grammar_route_defaults_to_five_lengths(self, monkeypatch):
+        m = small_model(seed=1)
+        src = [0, 1, 2]
+        assert len(feasible_lengths(m, src)) > 5
+        with ad.no_grad():
+            want = top_lengths(m.prepare(src).length_probs.value, 5)
+        calls = count_complete_calls(monkeypatch)
+        got = decode(m, src, grammar=sigma_star_grammar(),
+                     target_vocab=target_vocab())
+        assert calls == want and got.length in want
 
     def test_grammar_route_needs_a_vocabulary(self):
         with pytest.raises(ad.UsageError, match="vocabulary"):
             decode(small_model(), [0], grammar=sigma_star_grammar())
 
-    def test_autoregressive_route(self):
+    def test_grammar_route_needs_a_position_independent_decoder(self):
+        m = small_model(decoder="autoregressive", decoder_hidden=3)
+        with pytest.raises(ad.UsageError, match="position-independent"):
+            decode(m, [0], grammar=sigma_star_grammar(),
+                   target_vocab=target_vocab())
+
+    def test_autoregressive_route(self, monkeypatch):
         m = small_model(seed=6, decoder="autoregressive", decoder_hidden=4)
-        got = decode(m, [1, 0])
-        want = predict_autoregressive(m, [1, 0], k=1)
-        assert got.tokens == want.tokens and got.log_score == want.log_score
+        src = [1, 0]
+        with ad.no_grad():
+            top = top_lengths(m.prepare(src).length_probs.value, 1)[0]
+        calls = count_complete_calls(monkeypatch)
+        got = decode(m, src)
+        assert calls == [] and got.length == top
+        with ad.no_grad():
+            out = m.complete(m.prepare(src), top, np.array(got.tokens))
+        assert got.tokens == [int(y) for y in np.argmax(out.probs.value, axis=1)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from structran import autodiff as ad
-from structran import data, model as md, training
+from structran import data, inference, model as md, training
 
 
 def tiny_model(**overrides):
@@ -215,13 +215,18 @@ class TestTrainLoop:
         m = tiny_model()
         path = tmp_path / "metrics.jsonl"
         cfg = training.TrainConfig(lambda_guidance=0.0, epochs=2, seed=1)
-        res = training.train(m, self._pairs(), [], cfg, metrics_path=path)
+        res = training.train(m, self._pairs(), self._pairs(), cfg,
+                             metrics_path=path)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert lines == res.metrics
         assert set(lines[0]) == {"epoch", "train_loss", "dev_exact_match",
-                                 "grad_norm_mean", "grad_norm_max", "wall_ms"}
+                                 "dev_misses", "grad_norm_mean",
+                                 "grad_norm_max", "wall_ms"}
         for entry in lines:
             assert 0.0 < entry["grad_norm_mean"] <= entry["grad_norm_max"]
+            misses = entry["dev_misses"]
+            assert set(misses) == {"length", "tokens", "no_candidate"}
+            assert entry["dev_exact_match"] == 1 - sum(misses.values())
 
     def test_grad_norm_is_taken_before_clipping(self):
         cfg = training.TrainConfig(lambda_guidance=0.0, epochs=1, seed=1,
@@ -242,7 +247,29 @@ class TestTrainLoop:
                                    epochs=25, learning_rate=0.02, seed=0)
         res = training.train(m, self._pairs(), self._pairs(), cfg)
         assert res.best_dev == max(e["dev_exact_match"] for e in res.metrics)
-        assert training._dev_exact_match(m, self._pairs()) == res.best_dev
+        assert training.exact_match(m, self._pairs()).rate == res.best_dev
+
+    def test_infeasible_dev_source_counts_as_no_candidate(self):
+        m = tiny_model()
+        # every token takes zero copies, so no output length is feasible
+        m.store["fert.mlp.W2"].value[...] = 0.0
+        m.store["fert.mlp.b2"].value[...] = [0.0, -1e4, -1e4]
+        cfg = training.TrainConfig(lambda_guidance=0.0, epochs=1)
+        res = training.train(m, [], self._pairs(), cfg)
+        assert res.metrics[0]["dev_exact_match"] == 0.0
+        assert res.metrics[0]["dev_misses"] == {"length": 0, "tokens": 0,
+                                                "no_candidate": 1}
+
+    def test_misses_are_split_by_cause(self):
+        m = tiny_model()
+        src = self._pairs()[0][0]
+        right = np.array(inference.decode(m, src).tokens)
+        wrong = right.copy()
+        wrong[0] = (wrong[0] + 1) % m.config.target_vocab
+        tally = training.exact_match(
+            m, [(src, right), (src, right[:-1]), (src, wrong), (src, right)])
+        assert tally.hits == 2 and tally.rate == 0.5
+        assert tally.misses() == {"length": 1, "tokens": 1, "no_candidate": 0}
 
     def test_early_stop_on_dev_threshold(self):
         m = tiny_model()
