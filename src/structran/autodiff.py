@@ -420,11 +420,15 @@ def tanh(a: Node) -> Node:
     return make_node(v, (a,), bw)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow: exp(-|x|) is at most 1."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Node) -> Node:
     a = _wrap(a)
-    x = a.value
-    v = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    v = _logistic(a.value)
 
     def bw(g):
         _acc(a, g * v * (1.0 - v))
@@ -490,15 +494,10 @@ def lstm_cell(z: Node, c_prev: Node) -> Node:
     if z.value.shape != (4 * hdim,):
         raise ShapeError("lstm_cell", z.shape, c_prev.shape)
     zv = z.value
-
-    def sig(x):
-        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    i = sig(zv[:hdim])
-    f = sig(zv[hdim:2 * hdim])
+    i = _logistic(zv[:hdim])
+    f = _logistic(zv[hdim:2 * hdim])
     gc = np.tanh(zv[2 * hdim:3 * hdim])
-    o = sig(zv[3 * hdim:])
+    o = _logistic(zv[3 * hdim:])
     c = f * c_prev.value + i * gc
     tc = np.tanh(c)
     h = o * tc

@@ -170,6 +170,16 @@ def cmd_oracle_check(args) -> int:
     return _report(results)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="structran",
@@ -193,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--grammar", default=None)
-    p.add_argument("--top-k", type=int, default=None)
+    p.add_argument("--top-k", type=_positive_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_predict)
 

@@ -3,9 +3,9 @@
 A latent binary tree carves the sequence into spans; each internal node is
 straight (children keep their order) or inverted (children swap).  With a
 score per (span, orientation), P(tree) is proportional to exp(sum of node
-scores).  The inside chart gives the log partition, split posteriors the
-per-span branching distribution, and composing conditional expectations
-bottom-up yields the expected permutation matrix, which is doubly
+scores).  The inside chart gives the log partition and split posteriors the
+per-span branching distribution; passing output offsets top-down from the
+root to the leaves yields the expected permutation matrix, which is doubly
 stochastic by construction.
 
 Scores attach to spans only, never to (span, split) triples, so the joint
@@ -51,9 +51,6 @@ class SpanScores:
             raise DomainError(
                 f"scores for length {self.length} must have shape ({expect}, 2), "
                 f"got {self.scores.value.shape}")
-
-    def index(self, i: int, j: int) -> int:
-        return score_index(self.length, i, j)
 
 
 @dataclass
@@ -103,80 +100,63 @@ def _chart_posteriors(scores: np.ndarray, length: int):
 def expected_permutation(ss: SpanScores) -> MarginalPermutation:
     """Expected permutation matrix over the tree posterior.
 
-    Conditional span matrices compose bottom-up: with split posterior q and
-    children L (width c) and R (width w - c), a straight branch places L at
-    target offsets 0..c-1 and R after it; an inverted branch places R first
-    and shifts L by w - c.
+    A top-down branching process over output offsets: o[w][i, s] is the
+    probability that span (i, i+w) is a constituent whose output block
+    starts at offset s.  A straight node split at i+c passes s to its left
+    child and s+c to its right child; an inverted one passes s to its right
+    child and s+w-c to its left child.  The leaves give the matrix: o[1].
     """
     length = ss.length
-    if length == 1:
-        return MarginalPermutation(ad.make_node(np.ones((1, 1)), (ss.scores,), lambda g: None))
     scores = ss.scores.value
-    zw, po, ps = _chart_posteriors(scores, length)
+    _, po, ps = _chart_posteriors(scores, length)
 
-    m: list[np.ndarray | None] = [None, np.ones((length, 1, 1))]
-    for w in range(2, length + 1):
-        n_w = length - w + 1
-        mw = np.zeros((n_w, w, w))
+    # q[w][c-1, i] = P(split at i+c, (straight, inverted) | span (i, i+w))
+    q = [None, None] + [ps[w][:, :, None] * po[w] for w in range(2, length + 1)]
+    o = [None] + [np.zeros((length - w + 1, length - w + 1)) for w in range(1, length + 1)]
+    o[length][0, 0] = 1.0
+    for w in range(length, 1, -1):
+        n = length - w + 1
         for c in range(1, w):
-            left = m[c][:n_w]
-            right = m[w - c][c:c + n_w]
-            qs = (po[w][:, 0] * ps[w][c - 1])[:, None, None]
-            qi = (po[w][:, 1] * ps[w][c - 1])[:, None, None]
-            mw[:, :c, :c] += qs * left
-            mw[:, c:, c:] += qs * right
-            mw[:, c:, :w - c] += qi * right
-            mw[:, :c, w - c:] += qi * left
-        m.append(mw)
-
-    value = m[length][0].copy()
+            qs = q[w][c - 1, :, 0, None] * o[w]
+            qi = q[w][c - 1, :, 1, None] * o[w]
+            o[c][:n, :n] += qs
+            o[w - c][c:c + n, c:c + n] += qs
+            o[w - c][c:c + n, :n] += qi
+            o[c][:n, w - c:w - c + n] += qi
 
     def bw(groot):
-        dz = [np.zeros(length - w + 1) for w in range(length + 1)]  # dz[w], w >= 2 used
-        dm = [None, None] + [np.zeros_like(m[w]) for w in range(2, length + 1)]
-        dscores = np.zeros_like(scores)
-        offsets = {}
-        off = 0
+        # bottom-up: adjoints of o and of the branch posteriors q
+        do = [None, groot]
+        dq = [None, None]
         for w in range(2, length + 1):
-            offsets[w] = off
-            off += length - w + 1
-        dm[length][0] += groot
+            n = length - w + 1
+            dow = np.zeros((n, n))
+            dqw = np.empty_like(q[w])
+            for c in range(1, w):
+                gs = do[c][:n, :n] + do[w - c][c:c + n, c:c + n]
+                gi = do[w - c][c:c + n, :n] + do[c][:n, w - c:w - c + n]
+                dqw[c - 1, :, 0] = (gs * o[w]).sum(axis=1)
+                dqw[c - 1, :, 1] = (gi * o[w]).sum(axis=1)
+                dow += q[w][c - 1, :, 0, None] * gs + q[w][c - 1, :, 1, None] * gi
+            do.append(dow)
+            dq.append(dqw)
+        # top-down: z = lse_splits + lse_orient, posteriors are softmax JVPs;
+        # leaves have a constant inside value, so dz[1] is never read
+        dz = [np.zeros(length - w + 1) for w in range(length + 1)]
+        dscores = np.empty_like(scores)
+        off = len(scores)
         for w in range(length, 1, -1):
-            n_w = length - w + 1
-            g = dm[w]
-            dps = np.zeros((w - 1, n_w))
-            dpo = np.zeros((n_w, 2))
-            for c in range(1, w):
-                left = m[c][:n_w]
-                right = m[w - c][c:c + n_w]
-                psc = ps[w][c - 1]
-                qs = po[w][:, 0] * psc
-                qi = po[w][:, 1] * psc
-                gll = g[:, :c, :c]
-                grr = g[:, c:, c:]
-                grl = g[:, c:, :w - c]
-                glr = g[:, :c, w - c:]
-                gstr = (gll * left).sum(axis=(1, 2)) + (grr * right).sum(axis=(1, 2))
-                ginv = (grl * right).sum(axis=(1, 2)) + (glr * left).sum(axis=(1, 2))
-                if c >= 2:
-                    dm[c][:n_w] += qs[:, None, None] * gll + qi[:, None, None] * glr
-                if w - c >= 2:
-                    dm[w - c][c:c + n_w] += qs[:, None, None] * grr + qi[:, None, None] * grl
-                dpo[:, 0] += gstr * psc
-                dpo[:, 1] += ginv * psc
-                dps[c - 1] = gstr * po[w][:, 0] + ginv * po[w][:, 1]
+            n = length - w + 1
+            off -= n
             gz = dz[w]
-            # z = lse_splits + lse_orient; posterior tables are the softmax JVPs
-            dt = ps[w] * gz[None, :]
-            dt += ps[w] * (dps - (ps[w] * dps).sum(axis=0, keepdims=True))
-            dsc_w = po[w] * gz[:, None]
-            dsc_w += po[w] * (dpo - (po[w] * dpo).sum(axis=1, keepdims=True))
-            dscores[offsets[w]:offsets[w] + n_w] += dsc_w
+            dps = (dq[w] * po[w]).sum(axis=2)
+            dpo = (dq[w] * ps[w][:, :, None]).sum(axis=0)
+            dt = ps[w] * (gz + dps - (ps[w] * dps).sum(axis=0))
+            dscores[off:off + n] = po[w] * (gz[:, None] + dpo
+                                            - (po[w] * dpo).sum(axis=1, keepdims=True))
             for c in range(1, w):
-                if c >= 2:
-                    dz[c][:n_w] += dt[c - 1]
-                if w - c >= 2:
-                    dz[w - c][c:c + n_w] += dt[c - 1]
+                dz[c][:n] += dt[c - 1]
+                dz[w - c][c:c + n] += dt[c - 1]
         ad._acc(ss.scores, dscores)
 
-    return MarginalPermutation(ad.make_node(value, (ss.scores,), bw))
+    return MarginalPermutation(ad.make_node(o[1], (ss.scores,), bw))

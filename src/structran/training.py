@@ -10,6 +10,7 @@ gradient clipping.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import random
@@ -263,59 +264,61 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
             extract_guidance(table, src, tgt, config.posterior_threshold)
             for src, tgt in train_pairs
         ]
-    if metrics_path:
-        open(metrics_path, "w").close()
     order = list(range(len(train_pairs)))
     best_dev = -1.0
     best_epoch = -1
     best_state: dict[str, np.ndarray] = {}
     metrics: list[dict] = []
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        rng.shuffle(order)
-        total = 0.0
-        grad_norms = []
-        guided = epoch < config.guidance_epochs
-        for idx in order:
-            src, tgt = train_pairs[idx]
-            model.store.zero_grads()
-            loss, _ = example_loss(model, src, tgt, config,
-                                   guidance_sets[idx] if guided else None,
-                                   index=idx)
-            value = float(loss.value)
-            if not np.isfinite(value):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, example {idx}")
-            ad.backward(loss)
-            grad_norms.append(clip_gradients(model.store, config.clip_norm))
-            optimizer.step()
-            total += value
-        dev = exact_match(model, dev_pairs)
-        dev_em = dev.rate
-        entry = {
-            "epoch": epoch,
-            "train_loss": total / max(len(train_pairs), 1),
-            "dev_exact_match": dev_em,
-            "dev_misses": dev.misses(),
-            # global gradient norm before clipping, over the epoch's steps
-            "grad_norm_mean": sum(grad_norms) / max(len(grad_norms), 1),
-            "grad_norm_max": max(grad_norms, default=0.0),
-            "wall_ms": (time.perf_counter() - started) * 1000.0,
-        }
-        metrics.append(entry)
-        if metrics_path:
-            with open(metrics_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry) + "\n")
-        if log:
-            log(f"epoch {epoch}: loss {entry['train_loss']:.4f} "
-                f"dev {dev_em:.3f} ({entry['wall_ms']:.0f} ms)")
-        if dev_em > best_dev:
-            best_dev = dev_em
-            best_epoch = epoch
-            best_state = model.store.state_arrays()
-        if (config.stop_exact_match is not None
-                and dev_em >= config.stop_exact_match):
-            break
+    # the records stream to PATH.tmp, which replaces PATH only when
+    # training returns, so a failed run leaves the previous log in place
+    with (ad.atomic_open(metrics_path, "w", encoding="utf-8") if metrics_path
+          else contextlib.nullcontext()) as metrics_file:
+        for epoch in range(config.epochs):
+            started = time.perf_counter()
+            rng.shuffle(order)
+            total = 0.0
+            grad_norms = []
+            guided = epoch < config.guidance_epochs
+            for idx in order:
+                src, tgt = train_pairs[idx]
+                model.store.zero_grads()
+                loss, _ = example_loss(model, src, tgt, config,
+                                       guidance_sets[idx] if guided else None,
+                                       index=idx)
+                value = float(loss.value)
+                if not np.isfinite(value):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch}, example {idx}")
+                ad.backward(loss)
+                grad_norms.append(clip_gradients(model.store, config.clip_norm))
+                optimizer.step()
+                total += value
+            dev = exact_match(model, dev_pairs)
+            dev_em = dev.rate
+            entry = {
+                "epoch": epoch,
+                "train_loss": total / max(len(train_pairs), 1),
+                "dev_exact_match": dev_em,
+                "dev_misses": dev.misses(),
+                # global gradient norm before clipping, over the epoch's steps
+                "grad_norm_mean": sum(grad_norms) / max(len(grad_norms), 1),
+                "grad_norm_max": max(grad_norms, default=0.0),
+                "wall_ms": (time.perf_counter() - started) * 1000.0,
+            }
+            metrics.append(entry)
+            if metrics_file:
+                metrics_file.write(json.dumps(entry) + "\n")
+                metrics_file.flush()
+            if log:
+                log(f"epoch {epoch}: loss {entry['train_loss']:.4f} "
+                    f"dev {dev_em:.3f} ({entry['wall_ms']:.0f} ms)")
+            if dev_em > best_dev:
+                best_dev = dev_em
+                best_epoch = epoch
+                best_state = model.store.state_arrays()
+            if (config.stop_exact_match is not None
+                    and dev_em >= config.stop_exact_match):
+                break
     if best_state:
         model.store.load_state_arrays(best_state)
     return TrainResult(best_dev, best_epoch, metrics, model.store.state_arrays())

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from structran import checks
+from structran import checks, training
 from structran.cli import load_checkpoint, main
 
 MIRRORS = [(["a", "b"], ["a", "b", "b", "a"]),
@@ -252,6 +252,19 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {source}: line 2: empty")
 
+    def test_predict_rejects_top_k_below_one_before_loading(self, tmp_path,
+                                                            capsys):
+        # an empty input would otherwise never reach decode's own k check
+        source = tmp_path / "in.jsonl"
+        source.write_text("", encoding="utf-8")
+        out = tmp_path / "pred.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--ckpt", str(tmp_path / "missing.ckpt"),
+                  "--input", str(source), "--out", str(out), "--top-k", "0"])
+        assert exc.value.code == 2
+        assert "--top-k: must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_predict_names_the_line_without_a_candidate(self, tmp_path,
                                                         trained, capsys):
         _, ckpt = trained
@@ -351,6 +364,24 @@ class TestCheckpointFiles:
                      "--out", str(tmp_path / "pred.jsonl")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt} does not match {meta}")
+
+    def test_failed_retrain_keeps_the_previous_metrics_log(self, corpus,
+                                                           trained,
+                                                           monkeypatch, capsys):
+        config, ckpt = trained
+        metrics = Path(f"{ckpt}.metrics.jsonl")
+        before = metrics.read_text(encoding="utf-8")
+        assert len(before.splitlines()) == 2
+
+        def failing(model, pairs):
+            raise OSError("dev set unreadable")
+
+        monkeypatch.setattr(training, "exact_match", failing)
+        assert main(["train", "--config", str(config), "--data", str(corpus),
+                     "--out", str(ckpt)]) == 1
+        assert "dev set unreadable" in capsys.readouterr().err
+        assert metrics.read_text(encoding="utf-8") == before
+        assert not [p for p in ckpt.parent.iterdir() if p.suffix == ".tmp"]
 
 
 class TestCheckCommands:

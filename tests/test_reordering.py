@@ -170,6 +170,28 @@ class TestExpectedPermutation:
         assert oracles.max_relative_error([node.grad], numeric) <= 1e-4
 
 
+class TestLongEnd:
+    """Outputs of 80 or more: the matrix stays finite and doubly stochastic."""
+
+    @pytest.mark.parametrize("kind", ["scale2", "sharp"])
+    def test_length_81(self, kind):
+        length = 81
+        rng = np.random.default_rng(81)
+        rows = len(reordering.spans(length))
+        if kind == "scale2":
+            scores = rng.normal(size=(rows, 2)) * 2.0
+        else:
+            scores = rng.choice([-40.0, 40.0], size=(rows, 2))
+        node = ad.parameter(scores)
+        perm = reordering.expected_permutation(reordering.SpanScores(length, node)).matrix
+        ad.backward(ad.sum_(ad.mul(perm, ad.constant(rng.normal(size=(length, length))))))
+        p = perm.value
+        assert np.isfinite(p).all() and p.min() >= 0.0
+        np.testing.assert_allclose(p.sum(axis=0), np.ones(length), atol=1e-9)
+        np.testing.assert_allclose(p.sum(axis=1), np.ones(length), atol=1e-9)
+        assert np.isfinite(node.grad).all()
+
+
 class TestSupport:
     def test_separable_count_for_four_leaves(self):
         support = oracles.enum_permutation_support(4)
