@@ -468,21 +468,6 @@ def lse_softmax(x: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
     return v, e / np.where(s > 0.0, s, 1.0)
 
 
-def log_sum_exp(a: Node, axis=None, keepdims: bool = False) -> Node:
-    a = _wrap(a)
-    v, soft = lse_softmax(a.value, axis)
-    if not keepdims:
-        v = v.reshape(()) if axis is None else np.squeeze(v, axis=axis)
-
-    def bw(g):
-        gg = g
-        if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis)
-        _acc(a, soft * gg)
-
-    return make_node(v, (a,), bw)
-
-
 def lstm_cell(z: Node, c_prev: Node) -> Node:
     """One LSTM step from gate preactivations; returns [h; c] packed.
 

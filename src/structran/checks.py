@@ -1,9 +1,9 @@
 """Finite-difference and enumeration suites shared by tests and the CLI.
 
-Every differentiable operation is checked against central finite
-differences, and both dynamic programs are checked against brute-force
-enumeration.  The CLI exposes these as `gradcheck` and `oracle-check` so
-the acceptance runs are scriptable outside pytest.
+Every differentiable operation is checked against finite differences
+(oracles.finite_difference_grad), and both dynamic programs are checked
+against brute-force enumeration.  The CLI exposes these as `gradcheck`
+and `oracle-check` so the acceptance runs are scriptable outside pytest.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class CheckResult:
 
 
 def run_case(name: str, build: Callable, arrays: list[np.ndarray],
-             tol: float = OP_TOLERANCE, step: float = 1e-6) -> CheckResult:
+             tol: float = OP_TOLERANCE) -> CheckResult:
     """Compare tape gradients of build(nodes) with finite differences."""
     nodes = [ad.parameter(a.copy()) for a in arrays]
     loss = build(nodes)
@@ -49,7 +49,7 @@ def run_case(name: str, build: Callable, arrays: list[np.ndarray],
     def f():
         return float(build([ad.constant(a) for a in fd_arrays]).value)
 
-    numeric = oracles.finite_difference_grad(f, fd_arrays, step)
+    numeric = oracles.finite_difference_grad(f, fd_arrays)
     return CheckResult(name, oracles.max_relative_error(analytic, numeric), tol)
 
 
@@ -114,9 +114,6 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
     case("sigmoid", lambda n: _weighted(ad.sigmoid(n[0])), [r((3, 3))])
     case("softmax.tau", lambda n: _weighted(ad.softmax(n[0], tau=0.7, axis=-1)),
          [r((3, 5))])
-    case("logsumexp.axis", lambda n: _weighted(ad.log_sum_exp(n[0], axis=1)),
-         [r((3, 5))])
-    case("logsumexp.all", lambda n: ad.log_sum_exp(n[0]), [r((3, 4))])
     case("lstm_cell", lambda n: _weighted(ad.lstm_cell(n[0], n[1])),
          [r(12), r(3)])
 
@@ -130,10 +127,10 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
          lambda n: fertility.log_length_probability(as_table(n[0]), 5),
          [r((4, 4)) * 2.0])
     case("fertility.marginal",
-         lambda n: _weighted(fertility.marginal_fertility(as_table(n[0]), 5).tensor),
+         lambda n: _weighted(fertility.marginal_fertility(as_table(n[0]), 5)),
          [r((4, 4)) * 2.0])
     case("fertility.marginal.l4",
-         lambda n: _weighted(fertility.marginal_fertility(as_table(n[0]), 4).tensor),
+         lambda n: _weighted(fertility.marginal_fertility(as_table(n[0]), 4)),
          [r((3, 4)) * 2.0])
     case("fertility.log_length_probability.l4",
          lambda n: fertility.log_length_probability(as_table(n[0]), 4),
@@ -142,14 +139,14 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
     def shared_tables(n):
         # every reader of one table feeds the same prefix/suffix node
         ft = as_table(n[0])
-        return (_weighted(fertility.marginal_fertility(ft, 5).tensor)
+        return (_weighted(fertility.marginal_fertility(ft, 5))
                 + fertility.log_length_probability(ft, 5)
                 + _weighted(fertility.length_distribution(ft)))
 
     case("fertility.shared_tables", shared_tables, [r((4, 3)) * 2.0])
     case("reordering.expected_permutation",
          lambda n: _weighted(reordering.expected_permutation(
-             reordering.SpanScores(5, n[0])).matrix),
+             reordering.SpanScores(5, n[0]))),
          [r((len(reordering.spans(5)), 2)) * 1.5])
 
     return cases
@@ -173,7 +170,7 @@ def _tiny_config(**overrides) -> ModelConfig:
 
 
 def run_model_case(name: str, model: Model, loss_fn: Callable,
-                   tol: float = MODEL_TOLERANCE, step: float = 1e-3) -> CheckResult:
+                   tol: float = MODEL_TOLERANCE) -> CheckResult:
     """Finite-difference check of loss_fn(model) over every parameter."""
     model.store.zero_grads()
     loss = loss_fn(model)
@@ -195,11 +192,7 @@ def run_model_case(name: str, model: Model, loss_fn: Callable,
         with ad.no_grad():
             return float(loss_fn(model).value)
 
-    # Richardson pair: kills the h^2 truncation term, so the step can be
-    # large enough that roundoff cannot swamp near-zero gradient entries.
-    coarse = oracles.finite_difference_grad(f, fd_arrays, 2 * step)
-    fine = oracles.finite_difference_grad(f, fd_arrays, step)
-    numeric = [(4.0 * a - b) / 3.0 for a, b in zip(fine, coarse)]
+    numeric = oracles.finite_difference_grad(f, fd_arrays)
     for n, a in zip(names, arrays):
         model.store[n].value[...] = a
     return CheckResult(name, oracles.max_relative_error(analytic, numeric), tol)
@@ -273,7 +266,7 @@ def fertility_oracle_suite(tables_per_size: int = 20,
                     enum_marg, total = oracles.enum_fertility_marginals(probs, length)
                     if total <= 0:
                         continue
-                    marg = fertility.marginal_fertility(ft, length).tensor.value
+                    marg = fertility.marginal_fertility(ft, length).value
                     worst = max(worst, float(np.abs(marg - enum_marg).max()))
                     loglen = fertility.log_length_probability(ft, length).value
                     worst = max(worst, abs(float(np.exp(loglen)) - total))
@@ -293,7 +286,7 @@ def permutation_oracle_suite(charts_per_length: int = 20,
             scale = 5.0 if trial % 4 == 3 else 1.5
             scores = rng.normal(0.0, scale, (len(span_list), 2))
             ss = reordering.SpanScores(length, ad.constant(scores))
-            matrix = reordering.expected_permutation(ss).matrix.value
+            matrix = reordering.expected_permutation(ss).value
             score_of = {(i, j): tuple(scores[idx])
                         for idx, (i, j) in enumerate(span_list)}
             enum_matrix, _ = oracles.enum_tree_expectation(score_of, length)
@@ -312,7 +305,7 @@ def stochasticity_suite(lengths=(8, 16, 27, 40), charts_per_length: int = 3,
         for _ in range(charts_per_length):
             scores = rng.normal(0.0, 2.0, (n_spans, 2))
             ss = reordering.SpanScores(length, ad.constant(scores))
-            matrix = reordering.expected_permutation(ss).matrix.value
+            matrix = reordering.expected_permutation(ss).value
             worst = max(worst, float(np.abs(matrix.sum(axis=0) - 1.0).max()))
             worst = max(worst, float(np.abs(matrix.sum(axis=1) - 1.0).max()))
             worst = max(worst, float(max(0.0, -matrix.min())))

@@ -23,7 +23,10 @@ from .model import Model, ModelConfig
 
 def _read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from exc
 
 
 def _sha256(path) -> str:
@@ -42,14 +45,23 @@ def cmd_generate_data(args) -> int:
 
 
 def load_config_file(path) -> tuple[dict, dict]:
-    """The "model" and "training" sections of a config file."""
+    """The "model" and "training" sections of a config file, checked
+    against ModelConfig and TrainConfig so that every error names the file."""
     raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = sorted(set(raw) - {"model", "training"})
-    if unknown:
-        raise ValueError(f"unknown config sections: {', '.join(unknown)}")
-    return dict(raw.get("model", {})), dict(raw.get("training", {}))
+    try:
+        if not isinstance(raw, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(raw) - {"model", "training"})
+        if unknown:
+            raise ValueError(f"unknown config sections: {', '.join(unknown)}")
+        model_raw, train_raw = dict(raw.get("model", {})), dict(raw.get("training", {}))
+        # the vocabulary sizes come from the data; stand-ins let every
+        # other key and value be checked now
+        ModelConfig.from_dict({"source_vocab": 1, "target_vocab": 1, **model_raw})
+        training.TrainConfig.from_dict(train_raw)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+    return model_raw, train_raw
 
 
 def build_model(config: ModelConfig, source_vocab: data.Vocabulary,
@@ -113,7 +125,8 @@ def load_checkpoint(ckpt) -> tuple[Model, data.Vocabulary, data.Vocabulary]:
 
 def cmd_predict(args) -> int:
     model, source_vocab, target_vocab = load_checkpoint(args.ckpt)
-    g = grammar_mod.load_grammar(args.grammar) if args.grammar else None
+    g = (grammar_mod.load_grammar(args.grammar, target_vocab.token_to_id)
+         if args.grammar else None)
     rows = data.read_fields(args.input, "source")
     with atomic_open(args.out, "w", encoding="utf-8") as out:
         for lineno, source in rows:

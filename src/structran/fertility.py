@@ -79,14 +79,6 @@ class FertilityTable:
         return _log_tables(self)
 
 
-@dataclass
-class MarginalFertility:
-    """tensor[i][j][u] = P(slot j+1 is copy u+1 of token i+1 | total = length)."""
-
-    tensor: Node
-    length: int
-
-
 # ---------------------------------------------------------------------------
 # log-space prefix sweep and its adjoint
 
@@ -186,12 +178,12 @@ def log_length_probability(ft: FertilityTable, length: int) -> Node:
     return ad.slice_(ft.log_tables, (0, ft.n, length))
 
 
-def marginal_fertility(ft: FertilityTable, length: int) -> MarginalFertility:
-    """Marginal copy-alignment tensor conditioned on the output length.
+def marginal_fertility(ft: FertilityTable, length: int) -> Node:
+    """Marginal copy-alignment tensor (n, length, d) given the output length.
 
-    tensor[i][j][u] (0-based) is the posterior probability that output slot
-    j+1 is the (u+1)-th copy of input token i+1 given total length.  Columns
-    are distributions: sum_{i,u} tensor[i][j][u] = 1 for every j.
+    F[i][j][u] (0-based) is the posterior probability that output slot j+1
+    is the (u+1)-th copy of input token i+1 given total length.  Columns
+    are distributions: sum_{i,u} F[i][j][u] = 1 for every j.
     """
     logz = _log_normalizer(ft, length)
     probs, tables = ft.probs, ft.log_tables
@@ -217,4 +209,4 @@ def marginal_fertility(ft: FertilityTable, length: int) -> MarginalFertility:
         _acc_log_grad(probs, dlogp)
         ad._acc(tables, dtables)
 
-    return MarginalFertility(ad.make_node(marg, (probs, tables), bw), length)
+    return ad.make_node(marg, (probs, tables), bw)

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 
 class GrammarError(ValueError):
-    """Malformed grammar text."""
+    """Malformed grammar text; rule is the production at fault (a rule
+    tuple, or "%start") when a check of the whole grammar fails."""
+
+    def __init__(self, message: str, rule=None):
+        super().__init__(message)
+        self.rule = rule
 
 
 @dataclass(frozen=True)
@@ -35,12 +40,13 @@ class Grammar:
             raise GrammarError("grammar needs at least one lexical rule")
         lhs = {a for a, _, _ in self.binary} | {a for a, _ in self.lexical}
         if self.start not in lhs:
-            raise GrammarError(f"start symbol {self.start!r} has no rules")
-        for a, b, c in self.binary:
+            raise GrammarError(f"start symbol {self.start!r} has no rules", "%start")
+        for rule in self.binary:
+            a, b, c = rule
             for sym in (b, c):
                 if sym not in lhs:
                     raise GrammarError(f"rule {a} -> {b} {c}: "
-                                       f"undefined nonterminal {sym!r}")
+                                       f"undefined nonterminal {sym!r}", rule)
 
     @property
     def nonterminals(self) -> frozenset:
@@ -48,10 +54,13 @@ class Grammar:
                          | {a for a, _ in self.lexical})
 
 
-def parse_grammar(text: str) -> Grammar:
+def parse_grammar(text: str, terminals=None) -> Grammar:
+    """Parse grammar text; errors name the line at fault.  With terminals
+    (a container of tokens), a terminal not among them is an error."""
     start = None
     binary = []
     lexical = []
+    first_line = {}  # rule, or "%start", -> the line that declares it first
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -63,6 +72,7 @@ def parse_grammar(text: str) -> Grammar:
             if start is not None:
                 raise GrammarError(f"line {lineno}: duplicate %start")
             start = parts[1]
+            first_line["%start"] = lineno
             continue
         if "->" not in line:
             raise GrammarError(f"line {lineno}: expected a production")
@@ -72,17 +82,34 @@ def parse_grammar(text: str) -> Grammar:
         symbols = rhs.split()
         if len(symbols) == 1 and len(symbols[0]) >= 3 \
                 and symbols[0][0] == symbols[0][-1] == "'":
-            lexical.append((lhs, symbols[0][1:-1]))
+            term = symbols[0][1:-1]
+            if terminals is not None and term not in terminals:
+                raise GrammarError(
+                    f"line {lineno}: terminal {term!r} is not in the target vocabulary")
+            rule = (lhs, term)
+            lexical.append(rule)
         elif len(symbols) == 2 and not any(s.startswith("'") for s in symbols):
-            binary.append((lhs, symbols[0], symbols[1]))
+            rule = (lhs, symbols[0], symbols[1])
+            binary.append(rule)
         else:
             raise GrammarError(
                 f"line {lineno}: productions must be A -> B C or A -> 'a'")
+        first_line.setdefault(rule, lineno)
     if start is None:
         raise GrammarError("missing %start declaration")
-    return Grammar(start, tuple(binary), tuple(lexical))
+    try:
+        return Grammar(start, tuple(binary), tuple(lexical))
+    except GrammarError as exc:
+        if exc.rule is None:
+            raise
+        raise GrammarError(f"line {first_line[exc.rule]}: {exc}") from exc
 
 
-def load_grammar(path) -> Grammar:
+def load_grammar(path, terminals=None) -> Grammar:
+    """parse_grammar on a file; every error starts with the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_grammar(fh.read())
+        text = fh.read()
+    try:
+        return parse_grammar(text, terminals)
+    except GrammarError as exc:
+        raise GrammarError(f"{path}: {exc}") from exc

@@ -144,8 +144,8 @@ def decode(model: Model, source_ids, k: int | None = None,
             if greedy:
                 log_length, probs = _greedy_rows(model, prep, length)
             else:
-                out = model.complete(prep, length)
-                log_length, probs = out.log_length.value, out.probs.value
+                st, probs = model.complete(prep, length)
+                log_length, probs = st.log_length.value, probs.value
             if grammar is None:
                 ys = np.argmax(probs, axis=1)
                 with np.errstate(divide="ignore"):

@@ -97,20 +97,12 @@ class EncodedInput:
 
 
 @dataclass
-class IntermediateSequence:
-    """Expected copy sequence under the fertility marginal."""
-
-    values: Node  # (length, embedding_dim)
-
-
-@dataclass
 class Prepared:
     """Length-independent forward state, reused across candidate lengths."""
 
     encoded: EncodedInput
     fertility: fertility.FertilityTable
-    permutation: reordering.MarginalPermutation | None  # reorder-first only
-    span_scores: reordering.SpanScores | None
+    permutation: Node | None  # (n, n) source permutation, reorder-first only
 
     @property
     def length_probs(self) -> Node:
@@ -126,26 +118,10 @@ class Structure:
     token-by-token decoding both emit from one Structure.
     """
 
-    marginal: fertility.MarginalFertility
-    log_length: Node  # scalar log P(length | source)
-    span_scores: reordering.SpanScores
-    permutation: reordering.MarginalPermutation
-    mixing: Node      # (d*n, length) joint structure weights, slot-major
-
-
-@dataclass
-class TransductionOutput:
-    """Everything the loss and the diagnostics need for one example."""
-
-    encoded: EncodedInput
-    fertility: fertility.FertilityTable
-    marginal: fertility.MarginalFertility
-    span_scores: reordering.SpanScores
-    permutation: reordering.MarginalPermutation
-    mixing: Node      # (d*n, length) joint structure weights, slot-major
-    token_probs: Node
-    probs: Node       # (length, target_vocab); rows sum to one
-    log_length: Node  # scalar log P(length | source)
+    marginal: Node     # (n, length, d) fertility marginal, see marginal_fertility
+    log_length: Node   # scalar log P(length | source)
+    permutation: Node  # expected permutation matrix, see expected_permutation
+    mixing: Node       # (d*n, length) joint structure weights, slot-major
 
 
 class Model:
@@ -290,17 +266,16 @@ class Model:
         return fertility.FertilityTable(
             ad.softmax(logits, tau=self.config.temperature, axis=-1))
 
-    def compose_intermediate(self, enc: EncodedInput,
-                             marg: fertility.MarginalFertility) -> IntermediateSequence:
-        """Expected copy row j is sum_{i,u} F[i,j,u] (x_i + w_u)."""
-        n = enc.source_ids.shape[0]
-        d = self.config.max_fertility
+    def compose_intermediate(self, enc: EncodedInput, marg: Node) -> Node:
+        """Expected copy sequence (length, e) under the fertility marginal F:
+        row j is sum_{i,u} F[i,j,u] (x_i + w_u)."""
+        n, length, d = marg.shape
         slots = self.store["slot_emb"]
         rep = np.repeat(np.arange(n), d)
         tile = np.tile(np.arange(d), n)
         pairs = ad.gather(enc.embeddings, rep) + ad.gather(slots, tile)
-        weights = ad.reshape(ad.transpose(marg.tensor, (1, 0, 2)), (marg.length, n * d))
-        return IntermediateSequence(ad.matmul(weights, pairs))
+        weights = ad.reshape(ad.transpose(marg, (1, 0, 2)), (length, n * d))
+        return ad.matmul(weights, pairs)
 
     def reordering_scores(self, seq: Node) -> reordering.SpanScores:
         """Orientation scores for every span of the given sequence."""
@@ -316,23 +291,19 @@ class Model:
         feats = ad.concat([fdiff, bdiff], axis=1)
         return reordering.SpanScores(length, self._mlp("span.mlp", feats))
 
-    def mixing_weights(self, marg: fertility.MarginalFertility,
-                       perm_matrix: Node) -> Node:
+    def mixing_weights(self, marg: Node, perm_matrix: Node) -> Node:
         """Joint structure weights as a (d*n, length) matrix.
 
         Row u*n + j at column i is the probability that output position i
         realizes copy slot u of source token j.  Columns sum to one.
         """
-        d = self.config.max_fertility
-        length = marg.length
+        n, length, d = marg.shape
         if self.config.composition == "fertility-first":
-            n = marg.tensor.shape[0]
-            fm = ad.reshape(ad.transpose(marg.tensor, (2, 0, 1)), (d * n, length))
+            fm = ad.reshape(ad.transpose(marg, (2, 0, 1)), (d * n, length))
             return ad.matmul(fm, perm_matrix)
         # reorder-first: the permutation acts on source positions and the
         # fertility marginal is indexed by reordered positions
-        n = perm_matrix.shape[0]
-        t = ad.matmul(perm_matrix, ad.reshape(marg.tensor, (n, length * d)))
+        t = ad.matmul(perm_matrix, ad.reshape(marg, (n, length * d)))
         t = ad.transpose(ad.reshape(t, (n, length, d)), (2, 0, 1))
         return ad.reshape(t, (d * n, length))
 
@@ -426,13 +397,12 @@ class Model:
         enc = self.encode(source_ids)
         if self.config.composition == "fertility-first":
             ft = self.fertility_head(enc.fertility_states)
-            return Prepared(enc, ft, None, None)
-        ss = self.reordering_scores(enc.embeddings)
-        perm = reordering.expected_permutation(ss)
-        reordered = ad.matmul(ad.transpose(perm.matrix), enc.embeddings)
+            return Prepared(enc, ft, None)
+        perm = reordering.expected_permutation(self.reordering_scores(enc.embeddings))
+        reordered = ad.matmul(ad.transpose(perm), enc.embeddings)
         states, _, _ = self._bilstm("fert", reordered)
         ft = self.fertility_head(states)
-        return Prepared(enc, ft, perm, ss)
+        return Prepared(enc, ft, perm)
 
     def structure(self, prep: Prepared, length: int) -> Structure:
         """The target-independent stages for one candidate output length."""
@@ -440,17 +410,18 @@ class Model:
         log_len = fertility.log_length_probability(prep.fertility, length)
         if self.config.composition == "fertility-first":
             inter = self.compose_intermediate(prep.encoded, marg)
-            ss = self.reordering_scores(inter.values)
-            perm = reordering.expected_permutation(ss)
+            perm = reordering.expected_permutation(self.reordering_scores(inter))
         else:
-            ss = prep.span_scores
             perm = prep.permutation
-        mixing = self.mixing_weights(marg, perm.matrix)
-        return Structure(marg, log_len, ss, perm, mixing)
+        return Structure(marg, log_len, perm, self.mixing_weights(marg, perm))
 
     def complete(self, prep: Prepared, length: int,
-                 target_ids: Sequence[int] | None = None) -> TransductionOutput:
-        """Finish the forward pass for one candidate output length."""
+                 target_ids: Sequence[int] | None = None) -> tuple[Structure, Node]:
+        """Finish the forward pass for one candidate output length.
+
+        Returns the Structure and the (length, target_vocab) output rows,
+        each a distribution.
+        """
         st = self.structure(prep, length)
         ar_states = None
         if self.config.decoder == "autoregressive":
@@ -459,18 +430,15 @@ class Model:
                                     "for teacher forcing")
             ar_states = self.ar_context(target_ids, length)
         token_probs = self.token_distributions(prep.encoded, ar_states)
-        probs = self.output_distributions(token_probs, st.mixing)
-        return TransductionOutput(prep.encoded, prep.fertility, st.marginal,
-                                  st.span_scores, st.permutation, st.mixing,
-                                  token_probs, probs, st.log_length)
+        return st, self.output_distributions(token_probs, st.mixing)
 
     def transduce(self, source_ids: Sequence[int], length: int,
-                  target_ids: Sequence[int] | None = None) -> TransductionOutput:
+                  target_ids: Sequence[int] | None = None) -> tuple[Structure, Node]:
         return self.complete(self.prepare(source_ids), length, target_ids)
 
-    def guidance_mass(self, out: TransductionOutput) -> Node:
+    def guidance_mass(self, st: Structure) -> Node:
         """Alignment mass (n, length): P(output position i came from token j)."""
         d = self.config.max_fertility
-        n = out.encoded.source_ids.shape[0]
-        return ad.sum_(ad.reshape(out.mixing, (d, n, out.marginal.length)), axis=0)
+        rows, length = st.mixing.shape
+        return ad.sum_(ad.reshape(st.mixing, (d, rows // d, length)), axis=0)
 

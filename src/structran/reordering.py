@@ -29,15 +29,6 @@ def spans(length: int, min_width: int = 2) -> list[tuple[int, int]]:
             for i in range(length - w + 1)]
 
 
-def score_index(length: int, i: int, j: int) -> int:
-    """Row of span (i, j) inside the width-major score array."""
-    w = j - i
-    if not (0 <= i < j <= length and w >= 2):
-        raise DomainError(f"bad span ({i}, {j}) for length {length}")
-    off = sum(length - ww + 1 for ww in range(2, w))
-    return off + i
-
-
 @dataclass
 class SpanScores:
     """(straight, inverted) scores for every span of width >= 2."""
@@ -51,13 +42,6 @@ class SpanScores:
             raise DomainError(
                 f"scores for length {self.length} must have shape ({expect}, 2), "
                 f"got {self.scores.value.shape}")
-
-
-@dataclass
-class MarginalPermutation:
-    """matrix[a][b] = P(source position a lands on target slot b)."""
-
-    matrix: Node
 
 
 def _per_width_scores(scores: np.ndarray, length: int) -> list[np.ndarray | None]:
@@ -97,8 +81,9 @@ def _chart_posteriors(scores: np.ndarray, length: int):
 # ---------------------------------------------------------------------------
 # expected permutation: one fused op with a handwritten adjoint
 
-def expected_permutation(ss: SpanScores) -> MarginalPermutation:
-    """Expected permutation matrix over the tree posterior.
+def expected_permutation(ss: SpanScores) -> Node:
+    """Expected permutation matrix over the tree posterior: entry [a][b] is
+    P(source position a lands on target slot b).
 
     A top-down branching process over output offsets: o[w][i, s] is the
     probability that span (i, i+w) is a constituent whose output block
@@ -159,4 +144,4 @@ def expected_permutation(ss: SpanScores) -> MarginalPermutation:
                 dz[w - c][c:c + n] += dt[c - 1]
         ad._acc(ss.scores, dscores)
 
-    return MarginalPermutation(ad.make_node(o[1], (ss.scores,), bw))
+    return ad.make_node(o[1], (ss.scores,), bw)

@@ -131,27 +131,34 @@ def extract_guidance(t: np.ndarray, src, tgt,
 # ---------------------------------------------------------------------------
 # loss
 
+LOSS_TERMS = ("token_nll", "length_nll", "guidance")
+
 def example_loss(model: Model, source_ids, target_ids, config: TrainConfig,
                  guidance: set[tuple[int, int]] | None = None,
-                 index=None):
-    """Loss node for one example; also returns the forward output."""
+                 index=None) -> tuple[ad.Node, dict[str, float]]:
+    """Loss node for one example, and its unweighted LOSS_TERMS as floats:
+    loss = token_nll + lambda_length * length_nll + lambda_guidance * guidance,
+    where guidance is 0 without guidance pairs."""
     target_ids = np.asarray(target_ids, dtype=np.intp)
     try:
-        out = model.transduce(source_ids, len(target_ids), target_ids)
+        st, probs = model.transduce(source_ids, len(target_ids), target_ids)
     except fertility.InfeasibleLengthError as exc:
         label = "example" if index is None else f"example {index}"
         raise DatasetError(f"{label}: {exc}") from exc
-    picks = ad.slice_(out.probs, (np.arange(len(target_ids)), target_ids))
+    picks = ad.slice_(probs, (np.arange(len(target_ids)), target_ids))
     loss = -ad.sum_(ad.log(picks))
+    terms = {"token_nll": float(loss.value),
+             "length_nll": -float(st.log_length.value), "guidance": 0.0}
     if config.lambda_length:
-        loss = loss - out.log_length * config.lambda_length
+        loss = loss - st.log_length * config.lambda_length
     if guidance:
-        mass = model.guidance_mass(out)
+        mass = model.guidance_mass(st)
         js = np.array([j for j, _ in guidance], dtype=np.intp)
         is_ = np.array([i for _, i in guidance], dtype=np.intp)
         gterm = ad.sum_(ad.log(ad.slice_(mass, (js, is_))))
+        terms["guidance"] = -float(gterm.value)
         loss = loss - gterm * config.lambda_guidance
-    return loss, out
+    return loss, terms
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +284,15 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
             started = time.perf_counter()
             rng.shuffle(order)
             total = 0.0
+            term_totals = dict.fromkeys(LOSS_TERMS, 0.0)
             grad_norms = []
             guided = epoch < config.guidance_epochs
             for idx in order:
                 src, tgt = train_pairs[idx]
                 model.store.zero_grads()
-                loss, _ = example_loss(model, src, tgt, config,
-                                       guidance_sets[idx] if guided else None,
-                                       index=idx)
+                loss, terms = example_loss(model, src, tgt, config,
+                                           guidance_sets[idx] if guided else None,
+                                           index=idx)
                 value = float(loss.value)
                 if not np.isfinite(value):
                     raise TrainingError(
@@ -293,11 +301,16 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
                 grad_norms.append(clip_gradients(model.store, config.clip_norm))
                 optimizer.step()
                 total += value
+                for key in LOSS_TERMS:
+                    term_totals[key] += terms[key]
             dev = exact_match(model, dev_pairs)
             dev_em = dev.rate
+            steps = max(len(train_pairs), 1)
             entry = {
                 "epoch": epoch,
-                "train_loss": total / max(len(train_pairs), 1),
+                "train_loss": total / steps,
+                # unweighted means of the loss terms (see example_loss)
+                **{key: term_totals[key] / steps for key in LOSS_TERMS},
                 "dev_exact_match": dev_em,
                 "dev_misses": dev.misses(),
                 # global gradient norm before clipping, over the epoch's steps

@@ -7,23 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structran import autodiff as ad
-from structran import oracles
-
-
-def fd_check(build, arrays, tol=1e-5, step=1e-6):
-    """Compare tape gradients of build(nodes) against central differences."""
-    nodes = [ad.parameter(a.copy()) for a in arrays]
-    root = build(nodes)
-    ad.backward(root)
-    analytic = [n.grad if n.grad is not None else np.zeros_like(n.value)
-                for n in nodes]
-    fd_arrays = [a.copy() for a in arrays]
-
-    def f():
-        return float(build([ad.constant(a) for a in fd_arrays]).value)
-
-    numeric = oracles.finite_difference_grad(f, fd_arrays, step)
-    assert oracles.max_relative_error(analytic, numeric) <= tol
+from structran import checks
 
 
 class TestForwardValues:
@@ -31,9 +15,11 @@ class TestForwardValues:
         out = ad.softmax(ad.constant(np.array([0.0, 0.0])), tau=1.0)
         np.testing.assert_allclose(out.value, [0.5, 0.5])
 
-    def test_log_sum_exp_identity(self):
-        x = ad.constant(np.log(np.array([0.25, 0.25])))
-        assert ad.log_sum_exp(x).value == pytest.approx(math.log(0.5))
+    def test_lse_softmax_identity(self):
+        v, w = ad.lse_softmax(np.log(np.array([0.25, 0.25])))
+        assert v.shape == (1,)
+        assert v[0] == pytest.approx(math.log(0.5))
+        np.testing.assert_allclose(w, [0.5, 0.5])
 
     def test_softmax_temperature_sharpens(self):
         logits = ad.constant(np.array([1.0, 0.0]))
@@ -42,26 +28,24 @@ class TestForwardValues:
         assert hot[0] > warm[0]
         np.testing.assert_allclose(hot.sum(), 1.0)
 
-    def test_log_sum_exp_survives_extreme_inputs(self):
-        x = ad.constant(np.array([-1e4, 1e4]))
-        out = ad.log_sum_exp(x)
-        assert np.isfinite(out.value)
-        assert out.value == pytest.approx(1e4)
+    def test_lse_softmax_survives_extreme_inputs(self):
+        v, w = ad.lse_softmax(np.array([-1e4, 1e4]))
+        assert np.isfinite(v).all()
+        assert v[0] == pytest.approx(1e4)
+        np.testing.assert_array_equal(w, [0.0, 1.0])
 
-    def test_log_sum_exp_all_neg_inf_is_neg_inf(self):
-        x = ad.parameter(np.array([-np.inf, -np.inf]))
-        out = ad.log_sum_exp(x)
-        assert out.value == -np.inf
-        ad.backward(out)
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+    def test_lse_softmax_all_neg_inf_is_neg_inf(self):
+        v, w = ad.lse_softmax(np.array([-np.inf, -np.inf]))
+        assert v[0] == -np.inf
+        np.testing.assert_array_equal(w, [0.0, 0.0])
 
-    def test_log_sum_exp_neg_inf_row_along_axis(self):
-        x = ad.parameter(np.array([[-np.inf, -np.inf], [0.0, math.log(3.0)]]))
-        out = ad.log_sum_exp(x, axis=1)
-        assert out.value[0] == -np.inf
-        assert out.value[1] == pytest.approx(math.log(4.0))
-        ad.backward(ad.sum_(out))
-        np.testing.assert_allclose(x.grad, [[0.0, 0.0], [0.25, 0.75]])
+    def test_lse_softmax_neg_inf_row_along_axis(self):
+        v, w = ad.lse_softmax(np.array([[-np.inf, -np.inf], [0.0, math.log(3.0)]]),
+                              axis=1)
+        assert v.shape == (2, 1)
+        assert v[0, 0] == -np.inf
+        assert v[1, 0] == pytest.approx(math.log(4.0))
+        np.testing.assert_allclose(w, [[0.0, 0.0], [0.25, 0.75]])
 
     def test_matmul_shapes(self):
         a = np.arange(6.0).reshape(2, 3)
@@ -128,7 +112,7 @@ class TestBackward:
             hidden = ad.tanh(ad.add(ad.matmul(nw1, nx), nb1))
             return ad.sum_(ad.mul(nw2, hidden))
 
-        fd_check(build, [w1, b1, w2, x], tol=1e-5)
+        assert checks.run_case("mlp", build, [w1, b1, w2, x], tol=1e-5).ok
 
     def test_no_grad_suppresses_tape(self):
         x = ad.parameter(np.ones(2))
@@ -150,7 +134,12 @@ class TestBackward:
 
 
 class TestPerOpGradients:
-    """Each op against central differences on a scalarized output."""
+    """Each op against finite differences on a scalarized output."""
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_gradcheck_op_cases(self, seed):
+        failed = [(r.name, r.error) for r in checks.run_op_gradchecks(seed) if not r.ok]
+        assert failed == []
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
     def test_broadcast_arithmetic(self, op):
@@ -159,14 +148,17 @@ class TestPerOpGradients:
         b = rng.normal(size=(3,)) + 3.0  # keep divisors away from zero
         w = rng.normal(size=(2, 3))
         fn = getattr(ad, op)
-        fd_check(lambda ns: ad.sum_(ad.mul(fn(ns[0], ns[1]), ad.constant(w))), [a, b])
+        assert checks.run_case(
+            op, lambda ns: ad.sum_(ad.mul(fn(ns[0], ns[1]), ad.constant(w))), [a, b],
+            tol=1e-5).ok
 
     def test_slice_negative_step(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(5, 3))
         w = rng.normal(size=(5, 3))
-        fd_check(lambda ns: ad.sum_(ad.mul(ad.slice_(ns[0], slice(None, None, -1)),
-                                           ad.constant(w))), [a])
+        assert checks.run_case(
+            "slice", lambda ns: ad.sum_(ad.mul(ad.slice_(ns[0], slice(None, None, -1)),
+                                               ad.constant(w))), [a], tol=1e-5).ok
 
     def test_gather_repeated_indices_accumulate(self):
         a = ad.parameter(np.array([1.0, 2.0]))
@@ -191,9 +183,13 @@ class TestPerOpGradients:
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(2, 3))
         w = rng.normal(size=(4, 3))
-        fd_check(lambda ns: ad.sum_(ad.mul(ad.concat(ns, axis=0), ad.constant(w))), [a, b])
+        assert checks.run_case(
+            "concat", lambda ns: ad.sum_(ad.mul(ad.concat(ns, axis=0), ad.constant(w))),
+            [a, b], tol=1e-5).ok
         w2 = rng.normal(size=(2, 2, 3))
-        fd_check(lambda ns: ad.sum_(ad.mul(ad.stack(ns, axis=0), ad.constant(w2))), [a, b])
+        assert checks.run_case(
+            "stack", lambda ns: ad.sum_(ad.mul(ad.stack(ns, axis=0), ad.constant(w2))),
+            [a, b], tol=1e-5).ok
 
     def test_shape_mismatch_detected(self):
         a = ad.constant(np.zeros((2, 3)))

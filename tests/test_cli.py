@@ -268,14 +268,85 @@ class TestMalformedInput:
     def test_predict_names_the_line_without_a_candidate(self, tmp_path,
                                                         trained, capsys):
         _, ckpt = trained
+        # the grammar derives only "aaaaaaaa", longer than any feasible length
         grammar = tmp_path / "none.cfg"
-        grammar.write_text("%start S\nS -> 'zz'\n", encoding="utf-8")
+        grammar.write_text("%start S\nS -> A A\nA -> B B\nB -> C C\nC -> 'a'\n",
+                           encoding="utf-8")
         rc, source = self.predict_lines(tmp_path, ckpt, [{"source": ["c", "b"]}],
                                         "--grammar", str(grammar))
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {source}: line 1: no parse at any "
                               f"candidate length")
+
+
+class TestFileErrors:
+    """Grammar, config and meta-file errors start with `error: PATH:`."""
+
+    def predict_with_grammar(self, tmp_path, corpus, ckpt, text):
+        grammar = tmp_path / "bad.cfg"
+        grammar.write_text(text, encoding="utf-8")
+        rc = main(["predict", "--ckpt", str(ckpt),
+                   "--input", str(corpus / "test.jsonl"),
+                   "--grammar", str(grammar), "--out", str(tmp_path / "pred.jsonl")])
+        assert rc == 1
+        return grammar
+
+    def test_malformed_grammar_names_the_file_and_line(self, tmp_path, corpus,
+                                                       trained, capsys):
+        grammar = self.predict_with_grammar(tmp_path, corpus, trained[1],
+                                            "%start S\nS -> A 'a'\n")
+        assert capsys.readouterr().err.startswith(
+            f"error: {grammar}: line 2: productions must be")
+
+    def test_undefined_nonterminal_names_the_file_and_rule_line(
+            self, tmp_path, corpus, trained, capsys):
+        grammar = self.predict_with_grammar(tmp_path, corpus, trained[1],
+                                            "%start S\nS -> 'a'\nS -> S B\n")
+        assert capsys.readouterr().err.startswith(
+            f"error: {grammar}: line 3: rule S -> S B: undefined nonterminal 'B'")
+
+    def test_start_without_rules_names_the_file_and_start_line(
+            self, tmp_path, corpus, trained, capsys):
+        grammar = self.predict_with_grammar(tmp_path, corpus, trained[1],
+                                            "# toy\n%start T\nS -> 'a'\n")
+        assert capsys.readouterr().err.startswith(
+            f"error: {grammar}: line 2: start symbol 'T' has no rules")
+
+    def test_grammar_terminal_outside_the_vocabulary_is_rejected(
+            self, tmp_path, corpus, trained, capsys):
+        grammar = self.predict_with_grammar(
+            tmp_path, corpus, trained[1],
+            "%start S\nS -> S S\nS -> 'a'\nS -> 'q'\n")
+        assert capsys.readouterr().err.startswith(
+            f"error: {grammar}: line 4: terminal 'q' is not in the target vocabulary")
+        assert not (tmp_path / "pred.jsonl").exists()
+
+    def test_malformed_config_json_names_the_file(self, tmp_path, corpus, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"model": {"embedding_dim": 4,}}', encoding="utf-8")
+        assert main(["train", "--config", str(config), "--data", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: Expecting") and "line 1 column" in err
+
+    def test_unknown_config_key_names_the_file(self, tmp_path, corpus, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"embeddng_dim": 4}}), encoding="utf-8")
+        assert main(["train", "--config", str(config), "--data", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {config}: unknown ModelConfig keys: embeddng_dim")
+
+    def test_malformed_meta_json_names_the_file(self, tmp_path, corpus, trained,
+                                                capsys):
+        _, ckpt = trained
+        meta = Path(f"{ckpt}.meta.json")
+        meta.write_text(meta.read_text(encoding="utf-8")[:-5], encoding="utf-8")
+        assert main(["predict", "--ckpt", str(ckpt),
+                     "--input", str(corpus / "test.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {meta}: ")
 
 
 class TestCheckpointFiles:

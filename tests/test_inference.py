@@ -38,7 +38,8 @@ def oracle_closures(model, src):
 
         def token_probs(l):
             with ad.no_grad():
-                return model.complete(model.prepare(src), l).probs.value
+                _, probs = model.complete(model.prepare(src), l)
+                return probs.value
 
     return length_logprob, token_probs
 
@@ -235,8 +236,8 @@ class TestPredictAutoregressive:
         got = decode(m, [1], k=1)
         assert got.length == 1
         with ad.no_grad():
-            out = m.complete(m.prepare([1]), 1, np.array([0], dtype=np.intp))
-        assert got.tokens == [int(np.argmax(out.probs.value[0]))]
+            _, probs = m.complete(m.prepare([1]), 1, np.array([0], dtype=np.intp))
+        assert got.tokens == [int(np.argmax(probs.value[0]))]
 
     def test_sharp_model_matches_exhaustive_search(self):
         m = self.ar_model(seed=5, sharp=True)
@@ -254,9 +255,9 @@ class TestPredictAutoregressive:
             for ys in np.ndindex(*(3,) * l):
                 ids = np.array(ys, dtype=np.intp)
                 with ad.no_grad():
-                    out = m.complete(m.prepare(src), l, ids)
+                    _, probs = m.complete(m.prepare(src), l, ids)
                 score = llp(l) + float(
-                    np.log(out.probs.value[np.arange(l), ids]).sum())
+                    np.log(probs.value[np.arange(l), ids]).sum())
                 if best is None or score > best[2]:
                     best = (l, list(ys), score)
 
@@ -272,11 +273,11 @@ class TestPredictAutoregressive:
             got = decode(m, src, k=k)
             ys = np.array(got.tokens, dtype=np.intp)
             with ad.no_grad():
-                out = m.complete(m.prepare(src), got.length, ys)
-            probs = out.probs.value
+                st, probs = m.complete(m.prepare(src), got.length, ys)
+            probs = probs.value
             assert got.tokens == [int(y) for y in np.argmax(probs, axis=1)]
             np.testing.assert_allclose(got.distributions, probs, rtol=0, atol=1e-12)
-            score = float(out.log_length.value
+            score = float(st.log_length.value
                           + np.log(probs[np.arange(got.length), ys]).sum())
             assert abs(got.log_score - score) <= 1e-12
 
@@ -338,7 +339,8 @@ class TestDecodeDispatch:
         with ad.no_grad():
             prep = m.prepare(src)
             top = top_lengths(prep.length_probs.value, 1)[0]
-            probs = m.complete(prep, top).probs.value
+            _, probs = m.complete(prep, top)
+            probs = probs.value
         calls = count_complete_calls(monkeypatch)
         got = decode(m, src)
         assert calls == [top] and got.length == top
@@ -374,5 +376,5 @@ class TestDecodeDispatch:
         got = decode(m, src)
         assert calls == [] and got.length == top
         with ad.no_grad():
-            out = m.complete(m.prepare(src), top, np.array(got.tokens))
-        assert got.tokens == [int(y) for y in np.argmax(out.probs.value, axis=1)]
+            _, probs = m.complete(m.prepare(src), top, np.array(got.tokens))
+        assert got.tokens == [int(y) for y in np.argmax(probs.value, axis=1)]

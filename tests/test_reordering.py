@@ -48,17 +48,6 @@ class TestSpanIndexing:
     def test_width_major_order(self):
         assert reordering.spans(4) == [(0, 2), (1, 3), (2, 4), (0, 3), (1, 4), (0, 4)]
 
-    def test_score_index_round_trip(self):
-        for length in range(2, 7):
-            for k, (i, j) in enumerate(reordering.spans(length)):
-                assert reordering.score_index(length, i, j) == k
-
-    def test_bad_span_rejected(self):
-        with pytest.raises(ad.DomainError):
-            reordering.score_index(4, 2, 2)
-        with pytest.raises(ad.DomainError):
-            reordering.score_index(4, 0, 5)
-
 
 class TestInside:
     def test_single_leaf(self):
@@ -102,7 +91,7 @@ class TestSplitPosteriors:
 class TestExpectedPermutation:
     def test_two_leaves_uniform(self):
         perm = reordering.expected_permutation(zero_chart(2))
-        np.testing.assert_allclose(perm.matrix.value, [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(perm.value, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_point_mass_reverses_pairs(self):
         # force the derivation (inverted (straight a b) (inverted c d)):
@@ -110,10 +99,11 @@ class TestExpectedPermutation:
         length = 4
         rows = len(reordering.spans(length))
         arr = np.full((rows, 2), -1e4)
-        arr[reordering.score_index(length, 0, 2)] = [1e4, -1e4]
-        arr[reordering.score_index(length, 2, 4)] = [-1e4, 1e4]
-        arr[reordering.score_index(length, 0, 4)] = [-1e4, 1e4]
-        perm = reordering.expected_permutation(score_chart(length, arr)).matrix.value
+        index = reordering.spans(length).index
+        arr[index((0, 2))] = [1e4, -1e4]
+        arr[index((2, 4))] = [-1e4, 1e4]
+        arr[index((0, 4))] = [-1e4, 1e4]
+        perm = reordering.expected_permutation(score_chart(length, arr)).value
         want = np.zeros((4, 4))
         want[0, 2] = want[1, 3] = want[2, 1] = want[3, 0] = 1.0
         np.testing.assert_allclose(perm, want, atol=1e-9)
@@ -123,14 +113,14 @@ class TestExpectedPermutation:
             rows = len(reordering.spans(length))
             arr = np.zeros((rows, 2))
             arr[:, 0] = 30.0  # straight wins every orientation choice
-            perm = reordering.expected_permutation(score_chart(length, arr)).matrix.value
+            perm = reordering.expected_permutation(score_chart(length, arr)).value
             assert np.abs(perm - np.eye(length)).max() <= 1e-9
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 6))
     @settings(max_examples=20, deadline=None)
     def test_matches_enumeration(self, seed, length):
         ss = random_chart(np.random.default_rng(seed), length)
-        perm = reordering.expected_permutation(ss).matrix.value
+        perm = reordering.expected_permutation(ss).value
         want, _ = oracles.enum_tree_expectation(score_lookup(ss), length)
         np.testing.assert_allclose(perm, want, atol=1e-9)
 
@@ -139,7 +129,7 @@ class TestExpectedPermutation:
     def test_doubly_stochastic(self, seed):
         rng = np.random.default_rng(seed)
         length = int(rng.integers(2, 13))
-        perm = reordering.expected_permutation(random_chart(rng, length)).matrix.value
+        perm = reordering.expected_permutation(random_chart(rng, length)).value
         np.testing.assert_allclose(perm.sum(axis=0), np.ones(length), atol=1e-6)
         np.testing.assert_allclose(perm.sum(axis=1), np.ones(length), atol=1e-6)
         assert perm.min() >= 0.0
@@ -147,7 +137,7 @@ class TestExpectedPermutation:
     def test_two_leaves_follow_orientation_posterior(self):
         ss = random_chart(np.random.default_rng(9), 2)
         straight, inverted = split_table(ss, 0, 2)[0]
-        np.testing.assert_allclose(reordering.expected_permutation(ss).matrix.value,
+        np.testing.assert_allclose(reordering.expected_permutation(ss).value,
                                    [[straight, inverted], [inverted, straight]], atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -158,11 +148,11 @@ class TestExpectedPermutation:
 
         def loss_from(arr):
             perm = reordering.expected_permutation(score_chart(length, arr))
-            return ad.sum_(ad.log(ad.add(perm.matrix, ad.constant(np.full((length, length), 1e-3)))))
+            return ad.sum_(ad.log(ad.add(perm, ad.constant(np.full((length, length), 1e-3)))))
 
         node = ad.parameter(scores.copy())
         perm = reordering.expected_permutation(reordering.SpanScores(length, node))
-        root = ad.sum_(ad.log(ad.add(perm.matrix, ad.constant(np.full((length, length), 1e-3)))))
+        root = ad.sum_(ad.log(ad.add(perm, ad.constant(np.full((length, length), 1e-3)))))
         ad.backward(root)
         fd_arr = scores.copy()
         numeric = oracles.finite_difference_grad(
@@ -183,7 +173,7 @@ class TestLongEnd:
         else:
             scores = rng.choice([-40.0, 40.0], size=(rows, 2))
         node = ad.parameter(scores)
-        perm = reordering.expected_permutation(reordering.SpanScores(length, node)).matrix
+        perm = reordering.expected_permutation(reordering.SpanScores(length, node))
         ad.backward(ad.sum_(ad.mul(perm, ad.constant(rng.normal(size=(length, length))))))
         p = perm.value
         assert np.isfinite(p).all() and p.min() >= 0.0

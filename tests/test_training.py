@@ -124,8 +124,9 @@ class TestExampleLoss:
         m = tiny_model()
         cfg = training.TrainConfig(lambda_length=0.0, lambda_guidance=0.0)
         tgt = [1, 0, 3, 2]
-        loss, out = training.example_loss(m, [0, 2], tgt, cfg)
-        want = -np.log(out.probs.value[np.arange(4), tgt]).sum()
+        loss, _ = training.example_loss(m, [0, 2], tgt, cfg)
+        _, probs = m.transduce([0, 2], 4, tgt)
+        want = -np.log(probs.value[np.arange(4), tgt]).sum()
         assert float(loss.value) == pytest.approx(want, abs=1e-12)
 
     def test_guidance_with_full_mass_costs_nothing(self):
@@ -219,7 +220,8 @@ class TestTrainLoop:
                              metrics_path=path)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert lines == res.metrics
-        assert set(lines[0]) == {"epoch", "train_loss", "dev_exact_match",
+        assert set(lines[0]) == {"epoch", "train_loss", "token_nll",
+                                 "length_nll", "guidance", "dev_exact_match",
                                  "dev_misses", "grad_norm_mean",
                                  "grad_norm_max", "wall_ms"}
         for entry in lines:
@@ -227,6 +229,19 @@ class TestTrainLoop:
             misses = entry["dev_misses"]
             assert set(misses) == {"length", "tokens", "no_candidate"}
             assert entry["dev_exact_match"] == 1 - sum(misses.values())
+
+    def test_loss_terms_add_up_to_the_train_loss(self):
+        pairs = self._pairs() + [(np.array([1, 3]), np.array([1, 3, 3, 1]))]
+        cfg = training.TrainConfig(lambda_length=0.7, lambda_guidance=1.5,
+                                   guidance_epochs=1, posterior_threshold=0.3,
+                                   epochs=2, seed=3)
+        res = training.train(tiny_model(), pairs, [], cfg)
+        for entry in res.metrics:
+            assert entry["train_loss"] == pytest.approx(
+                entry["token_nll"] + 0.7 * entry["length_nll"]
+                + 1.5 * entry["guidance"], abs=1e-9)
+        assert res.metrics[0]["guidance"] > 0.0
+        assert res.metrics[1]["guidance"] == 0.0
 
     def test_grad_norm_is_taken_before_clipping(self):
         cfg = training.TrainConfig(lambda_guidance=0.0, epochs=1, seed=1,
