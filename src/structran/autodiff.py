@@ -468,39 +468,74 @@ def lse_softmax(x: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
     return v, e / np.where(s > 0.0, s, 1.0)
 
 
-def lstm_cell(z: Node, c_prev: Node) -> Node:
-    """One LSTM step from gate preactivations; returns [h; c] packed.
+def lstm(inputs: Node, w: Node, b: Node,
+         state: tuple[Node, Node] | None = None) -> Node:
+    """One LSTM direction over the rows of inputs (T, D) as a single op.
 
-    z holds the four gate blocks (input, forget, cell, output), each of
-    the hidden size; c_prev is the previous cell state.
+    w is (4H, D + H), the input and recurrent weights side by side, and b
+    is (4H,); the gate blocks are (input, forget, cell, output).  The
+    recurrence starts from state, an (h, c) pair of (H,) nodes, or from
+    zeros.  Returns (T, 2H) whose row t is [h_t; c_t].
+
+    The input contributions of all steps are one matrix product, outside
+    the recurrence (Appleyard et al. 2016); the backward is one reverse
+    sweep of backprop through time that fills the gate adjoints dz of
+    every step, then takes the weight, bias and input gradients as
+    matrix products over all steps.
     """
-    z, c_prev = _wrap(z), _wrap(c_prev)
-    hdim = c_prev.value.shape[0]
-    if z.value.shape != (4 * hdim,):
-        raise ShapeError("lstm_cell", z.shape, c_prev.shape)
-    zv = z.value
-    i = _logistic(zv[:hdim])
-    f = _logistic(zv[hdim:2 * hdim])
-    gc = np.tanh(zv[2 * hdim:3 * hdim])
-    o = _logistic(zv[3 * hdim:])
-    c = f * c_prev.value + i * gc
-    tc = np.tanh(c)
-    h = o * tc
-    v = np.concatenate([h, c])
+    x, w, b = _wrap(inputs), _wrap(w), _wrap(b)
+    hdim = w.value.shape[0] // 4
+    if (x.ndim != 2 or w.value.shape != (4 * hdim, x.value.shape[1] + hdim)
+            or b.value.shape != (4 * hdim,)):
+        raise ShapeError("lstm", x.shape, w.shape, b.shape)
+    steps, in_dim = x.value.shape
+    hs, cs = np.zeros((steps + 1, hdim)), np.zeros((steps + 1, hdim))
+    init = ()
+    if state is not None:
+        init = (_wrap(state[0]), _wrap(state[1]))
+        if init[0].shape != (hdim,) or init[1].shape != (hdim,):
+            raise ShapeError("lstm", w.shape, init[0].shape, init[1].shape)
+        hs[0], cs[0] = init[0].value, init[1].value
+    wx, wh = w.value[:, :in_dim], w.value[:, in_dim:]
+    zx = x.value @ wx.T + b.value
+    act = np.empty((steps, 4 * hdim))  # gate activations i, f, g, o
+    tanh_c = np.empty((steps, hdim))
+    for t in range(steps):
+        z = zx[t] + wh @ hs[t]
+        a = act[t]
+        a[:] = _logistic(z)
+        a[2 * hdim:3 * hdim] = np.tanh(z[2 * hdim:3 * hdim])
+        cs[t + 1] = a[hdim:2 * hdim] * cs[t] + a[:hdim] * a[2 * hdim:3 * hdim]
+        tanh_c[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = a[3 * hdim:] * tanh_c[t]
+    v = np.concatenate([hs[1:], cs[1:]], axis=1)
 
     def bw(g):
-        dh, dc_out = g[:hdim], g[hdim:]
-        dc = dc_out + dh * o * (1.0 - tc * tc)
-        dz = np.concatenate([
-            dc * gc * i * (1.0 - i),
-            dc * c_prev.value * f * (1.0 - f),
-            dc * i * (1.0 - gc * gc),
-            dh * tc * o * (1.0 - o),
-        ])
-        _acc(z, dz)
-        _acc(c_prev, dc * f)
+        i, f = act[:, :hdim], act[:, hdim:2 * hdim]
+        gc, o = act[:, 2 * hdim:3 * hdim], act[:, 3 * hdim:]
+        dh_to_dc = o * (1.0 - tanh_c * tanh_c)
+        # dz[t] = coef[t] * [dc_t, dc_t, dc_t, dh_t], block by block
+        coef = np.stack([gc * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
+                         i * (1.0 - gc * gc), tanh_c * o * (1.0 - o)], axis=1)
+        dz = np.empty((steps, 4, hdim))
+        wh_t = wh.T
+        dh_next, dc_next = np.zeros(hdim), np.zeros(hdim)
+        for t in range(steps - 1, -1, -1):
+            dh = g[t, :hdim] + dh_next
+            dc = g[t, hdim:] + dc_next + dh * dh_to_dc[t]
+            np.multiply(coef[t, :3], dc, out=dz[t, :3])
+            np.multiply(coef[t, 3], dh, out=dz[t, 3])
+            dc_next = dc * f[t]
+            dh_next = wh_t @ dz[t].reshape(-1)
+        dz = dz.reshape(steps, 4 * hdim)
+        _acc(w, np.concatenate([dz.T @ x.value, dz.T @ hs[:-1]], axis=1))
+        _acc(b, dz.sum(axis=0))
+        _acc(x, dz @ wx)
+        if init:
+            _acc(init[0], dh_next)
+            _acc(init[1], dc_next)
 
-    return make_node(v, (z, c_prev), bw)
+    return make_node(v, (x, w, b) + init, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,6 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
     case("sigmoid", lambda n: _weighted(ad.sigmoid(n[0])), [r((3, 3))])
     case("softmax.tau", lambda n: _weighted(ad.softmax(n[0], tau=0.7, axis=-1)),
          [r((3, 5))])
-    case("lstm_cell", lambda n: _weighted(ad.lstm_cell(n[0], n[1])),
-         [r(12), r(3)])
 
     def as_table(node):
         return fertility.FertilityTable(ad.softmax(node, axis=-1))
@@ -148,6 +146,14 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
          lambda n: _weighted(reordering.expected_permutation(
              reordering.SpanScores(5, n[0]))),
          [r((len(reordering.spans(5)), 2)) * 1.5])
+
+    def lstm(n):
+        state = (n[3], n[4]) if len(n) > 3 else None
+        return _weighted(ad.lstm(n[0], n[1], n[2], state))
+
+    lstm_arrays = [r((5, 2)), r((12, 5)), r(12)]  # T=5, D=2, H=3
+    case("lstm", lstm, lstm_arrays)
+    case("lstm.state", lstm, lstm_arrays + [r(3), r(3)])
 
     return cases
 

@@ -109,10 +109,30 @@ def cmd_train(args) -> int:
 
 
 def load_checkpoint(ckpt) -> tuple[Model, data.Vocabulary, data.Vocabulary]:
-    meta = _read_json(f"{ckpt}.meta.json")
-    model_config = ModelConfig.from_dict(meta["model"])
-    source_vocab = data.Vocabulary(list(meta["source_vocab"]))
-    target_vocab = data.Vocabulary(list(meta["target_vocab"]))
+    meta_path = f"{ckpt}.meta.json"
+    meta = _read_json(meta_path)
+    if not isinstance(meta, dict):
+        raise UsageError(f"{meta_path}: the meta file must hold a JSON object")
+
+    def field(key: str, kind: type, build):
+        """build(meta[key]); every fault names the meta file and the key."""
+        if key not in meta:
+            raise UsageError(f"{meta_path}: missing key {key!r}")
+        try:
+            if not isinstance(meta[key], kind):
+                raise ValueError(f"must be a JSON {'object' if kind is dict else 'array'}")
+            return build(meta[key])
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{meta_path}: key {key!r}: {exc}") from exc
+
+    model_config = field("model", dict, ModelConfig.from_dict)
+    source_vocab = field("source_vocab", list, data.Vocabulary)
+    target_vocab = field("target_vocab", list, data.Vocabulary)
+    for key, vocab in (("source_vocab", source_vocab), ("target_vocab", target_vocab)):
+        size = getattr(model_config, key)
+        if len(vocab) != size:
+            raise UsageError(f"{meta_path}: key {key!r}: token count {len(vocab)} "
+                             f"differs from the model config's {size}")
     model = build_model(model_config, source_vocab, target_vocab)
     model.store.restore(ckpt)
     # the digest ties the weights to the configs and vocabularies beside them

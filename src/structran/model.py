@@ -195,24 +195,11 @@ class Model:
         the rows of a sequence one call at a time.
         """
         w = self.store[prefix + ".W"]
-        b = self.store[prefix + ".b"]
         hidden = w.value.shape[0] // 4
-        in_dim = w.value.shape[1] - hidden
-        wx = ad.slice_(w, (slice(None), slice(0, in_dim)))
-        wh = ad.slice_(w, (slice(None), slice(in_dim, None)))
-        # input contributions for every step at once
-        zx = ad.matmul(inputs, ad.transpose(wx)) + b
-        if state is None:
-            state = (ad.constant(np.zeros(hidden)), ad.constant(np.zeros(hidden)))
-        h, c = state
-        states = []
-        for t in range(inputs.shape[0]):
-            z = ad.slice_(zx, t) + ad.matmul(wh, h)
-            packed = ad.lstm_cell(z, c)
-            h = ad.slice_(packed, slice(0, hidden))
-            c = ad.slice_(packed, slice(hidden, None))
-            states.append(h)
-        return ad.stack(states, axis=0), (h, c)
+        packed = ad.lstm(inputs, w, self.store[prefix + ".b"], state)
+        h = ad.slice_(packed, (-1, slice(0, hidden)))
+        c = ad.slice_(packed, (-1, slice(hidden, None)))
+        return ad.slice_(packed, (slice(None), slice(0, hidden))), (h, c)
 
     def _bilstm(self, tag: str, inputs: Node) -> tuple[Node, Node, Node]:
         """Per-row [fwd; bwd] states plus fencepost stacks.

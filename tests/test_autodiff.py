@@ -10,6 +10,25 @@ from structran import autodiff as ad
 from structran import checks
 
 
+def lstm_per_step(x, w, b, h=None, c=None):
+    """Rows [h_t; c_t] of the LSTM recurrence written out one step at a time."""
+    hdim = b.shape[0] // 4
+    h = np.zeros(hdim) if h is None else h
+    c = np.zeros(hdim) if c is None else c
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    rows = []
+    for xt in x:
+        z = w @ np.concatenate([xt, h]) + b
+        i, f, o = sig(z[:hdim]), sig(z[hdim:2 * hdim]), sig(z[3 * hdim:])
+        c = f * c + i * np.tanh(z[2 * hdim:3 * hdim])
+        h = o * np.tanh(c)
+        rows.append(np.concatenate([h, c]))
+    return np.array(rows)
+
+
 class TestForwardValues:
     def test_softmax_symmetry(self):
         out = ad.softmax(ad.constant(np.array([0.0, 0.0])), tau=1.0)
@@ -55,20 +74,31 @@ class TestForwardValues:
         np.testing.assert_allclose(ad.matmul(ad.constant(a), ad.constant(v)).value, a @ v)
         np.testing.assert_allclose(ad.matmul(ad.constant(v), ad.constant(v)).value, v @ v)
 
-    def test_lstm_cell_matches_direct_formula(self):
+    def test_lstm_matches_per_step_formula(self):
         rng = np.random.default_rng(3)
-        h = 4
-        z = rng.normal(size=4 * h)
-        c_prev = rng.normal(size=h)
-        packed = ad.lstm_cell(ad.constant(z), ad.constant(c_prev)).value
+        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(16, 7)), rng.normal(size=16)
+        h0, c0 = rng.normal(size=4), rng.normal(size=4)
+        out = ad.lstm(ad.constant(x), ad.constant(w), ad.constant(b)).value
+        np.testing.assert_allclose(out, lstm_per_step(x, w, b), rtol=0, atol=1e-12)
+        out = ad.lstm(ad.constant(x), ad.constant(w), ad.constant(b),
+                      (ad.constant(h0), ad.constant(c0))).value
+        np.testing.assert_allclose(out, lstm_per_step(x, w, b, h0, c0),
+                                   rtol=0, atol=1e-12)
 
-        def sig(x):
-            return 1.0 / (1.0 + np.exp(-x))
-
-        i, f, g, o = z[:h], z[h:2 * h], z[2 * h:3 * h], z[3 * h:]
-        c = sig(f) * c_prev + sig(i) * np.tanh(g)
-        np.testing.assert_allclose(packed[h:], c, atol=1e-12)
-        np.testing.assert_allclose(packed[:h], sig(o) * np.tanh(c), atol=1e-12)
+    def test_lstm_long_sequence_with_saturated_gates_stays_finite(self):
+        # T=81 with preactivations up to +-40: every gate saturates
+        rng = np.random.default_rng(5)
+        x, w, b = rng.normal(size=(81, 3)), rng.normal(size=(16, 7)), rng.normal(size=16)
+        scale = 40.0 / np.abs(x @ w[:, :3].T + b).max()
+        w, b = w * scale, b * scale
+        h0, c0 = ad.parameter(rng.normal(size=4)), ad.parameter(rng.normal(size=4))
+        nodes = [ad.parameter(a) for a in (x, w, b)]
+        out = ad.lstm(*nodes, (h0, c0))
+        np.testing.assert_allclose(out.value, lstm_per_step(x, w, b, h0.value, c0.value),
+                                   rtol=0, atol=1e-12)
+        ad.backward(ad.sum_(out * ad.constant(rng.normal(size=out.shape))))
+        for node in nodes + [h0, c0]:
+            assert node.grad is not None and np.isfinite(node.grad).all()
 
 
 class TestBackward:
@@ -113,6 +143,30 @@ class TestBackward:
             return ad.sum_(ad.mul(nw2, hidden))
 
         assert checks.run_case("mlp", build, [w1, b1, w2, x], tol=1e-5).ok
+
+    def test_lstm_rows_one_call_at_a_time_equal_one_call(self):
+        # the incremental decoder feeds one row per call, carrying (h, c)
+        rng = np.random.default_rng(4)
+        arrays = [rng.normal(size=(6, 3)), rng.normal(size=(16, 7)), rng.normal(size=16)]
+        upstream = rng.normal(size=(6, 8))
+
+        def run(chunked):
+            x, w, b = [ad.parameter(a) for a in arrays]
+            if not chunked:
+                out = ad.lstm(x, w, b)
+            else:
+                rows, state = [], None
+                for t in range(6):
+                    packed = ad.lstm(ad.slice_(x, slice(t, t + 1)), w, b, state)
+                    state = (ad.slice_(packed, (0, slice(0, 4))),
+                             ad.slice_(packed, (0, slice(4, None))))
+                    rows.append(packed)
+                out = ad.concat(rows, axis=0)
+            ad.backward(ad.sum_(out * ad.constant(upstream)))
+            return [out.value, x.grad, w.grad, b.grad]
+
+        for whole, chunked in zip(run(False), run(True)):
+            np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
 
     def test_no_grad_suppresses_tape(self):
         x = ad.parameter(np.ones(2))

@@ -348,6 +348,33 @@ class TestFileErrors:
                      "--out", str(tmp_path / "pred.jsonl")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {meta}: ")
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda m: {k: v for k, v in m.items() if k != "model"},
+                     "missing key 'model'", id="no-model"),
+        pytest.param(lambda m: {k: v for k, v in m.items() if k != "source_vocab"},
+                     "missing key 'source_vocab'", id="no-source-vocab"),
+        pytest.param(lambda m: [m], "the meta file must hold a JSON object", id="list"),
+        pytest.param(lambda m: {**m, "source_vocab": 5},
+                     "key 'source_vocab': must be a JSON array", id="vocab-number"),
+        pytest.param(lambda m: {**m, "model": {**m["model"], "embedding_dim": 0}},
+                     "key 'model': embedding_dim must be at least 1", id="bad-value"),
+        pytest.param(lambda m: {**m, "model": {**m["model"], "bogus": 1}},
+                     "key 'model': unknown ModelConfig keys: bogus", id="unknown-key"),
+        pytest.param(lambda m: {**m, "target_vocab": m["target_vocab"][:1]},
+                     "key 'target_vocab': token count 1 differs from the model config's 3",
+                     id="vocab-size"),
+    ])
+    def test_malformed_meta_fields_name_the_file_and_key(
+            self, tmp_path, corpus, trained, capsys, edit, message):
+        _, ckpt = trained
+        meta = Path(f"{ckpt}.meta.json")
+        meta.write_text(json.dumps(edit(json.loads(meta.read_text(encoding="utf-8")))),
+                        encoding="utf-8")
+        assert main(["predict", "--ckpt", str(ckpt),
+                     "--input", str(corpus / "test.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: {meta}: {message}\n"
+
 
 class TestCheckpointFiles:
     def predict_with(self, tmp_path, corpus, ckpt, payload):
