@@ -43,7 +43,13 @@ def run_workload(command: list[str], name: str, seed: int, seconds: float) -> di
     if not lines:
         raise SystemExit(f"error: workload {name} seed {seed} printed nothing "
                          f"(exit {proc.returncode}): {proc.stderr.strip()}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        result = None
+    if not isinstance(result, dict):
+        raise SystemExit(f"error: workload {name} seed {seed}: last line is not a "
+                         f"result (exit {proc.returncode})")
     result["exit_code"] = proc.returncode
     return result
 

@@ -93,14 +93,8 @@ class Node:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_value(x) -> np.ndarray:
@@ -220,20 +214,6 @@ def mul(a, b) -> Node:
     def bw(g):
         _acc(a, _unbroadcast(g * b.value, a.value.shape))
         _acc(b, _unbroadcast(g * a.value, b.value.shape))
-
-    return make_node(v, (a, b), bw)
-
-
-def div(a, b) -> Node:
-    a, b = _wrap(a), _wrap(b)
-    try:
-        v = a.value / b.value
-    except ValueError:
-        raise ShapeError("div", a.shape, b.shape)
-
-    def bw(g):
-        _acc(a, _unbroadcast(g / b.value, a.value.shape))
-        _acc(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
 
     return make_node(v, (a, b), bw)
 

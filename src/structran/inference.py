@@ -99,28 +99,12 @@ def viterbi_cyk(distributions: np.ndarray, alphabet: Sequence[str],
     return rebuild(grammar.start, 0, length - 1), float(score)
 
 
-def _greedy_rows(model: Model, prep, length: int) -> tuple[float, np.ndarray]:
-    """Autoregressive rows: the target-independent structure is built once,
-    then the decoder LSTM advances one argmax token per position."""
-    st = model.structure(prep, length)
-    rows = []
-    state = None
-    for pos in range(length):
-        previous = int(np.argmax(rows[-1])) if rows else None
-        ar_row, state = model.ar_step(previous, state)
-        token_probs = model.token_distributions(prep.encoded, ar_row)
-        column = ad.slice_(st.mixing, (slice(None), slice(pos, pos + 1)))
-        rows.append(model.output_distributions(token_probs, column).value[0])
-    return st.log_length.value, np.stack(rows)
-
-
 def decode(model: Model, source_ids, k: int | None = None,
            grammar: Grammar | None = None, target_vocab=None) -> DecodeResult:
     """Best (length, string) among the top-k candidate output lengths.
 
-    Each length's rows come from Model.complete, or from greedy decoder
-    steps for the autoregressive decoder.  The string is their argmax or,
-    with a grammar, the viterbi_cyk parse; target_vocab (a
+    Each length's rows come from Model.complete.  The string is their
+    argmax or, with a grammar, the viterbi_cyk parse; target_vocab (a
     data.Vocabulary) names the grammar's terminals, and lengths with no
     parse are skipped.  k defaults to 1, or 5 with a grammar.
     """
@@ -128,10 +112,9 @@ def decode(model: Model, source_ids, k: int | None = None,
         k = 1 if grammar is None else 5
     if k < 1:
         raise ad.UsageError("k must be at least 1")
-    greedy = model.config.decoder == "autoregressive"
     if grammar is not None and target_vocab is None:
         raise ad.UsageError("grammar decoding needs the target vocabulary")
-    if grammar is not None and greedy:
+    if grammar is not None and model.config.decoder == "autoregressive":
         raise ad.UsageError("grammar decoding needs a position-independent decoder")
     with ad.no_grad():
         prep = model.prepare(source_ids)
@@ -141,11 +124,8 @@ def decode(model: Model, source_ids, k: int | None = None,
         best = None
         unparsed = []
         for length in lengths:
-            if greedy:
-                log_length, probs = _greedy_rows(model, prep, length)
-            else:
-                st, probs = model.complete(prep, length)
-                log_length, probs = st.log_length.value, probs.value
+            st, probs = model.complete(prep, length)
+            probs = probs.value
             if grammar is None:
                 ys = np.argmax(probs, axis=1)
                 with np.errstate(divide="ignore"):
@@ -158,7 +138,7 @@ def decode(model: Model, source_ids, k: int | None = None,
                     unparsed.append(length)
                     continue
                 ys = target_vocab.encode(tokens)
-            score = float(log_length + lex_score)
+            score = float(st.log_length.value + lex_score)
             if best is None or score > best.log_score:
                 best = DecodeResult([int(y) for y in ys], length, score, probs)
         if best is None:

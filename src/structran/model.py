@@ -13,6 +13,12 @@ are reordered; in the reorder-first order the source itself is softly
 permuted and fertility applies to the permuted rows.  The decoder mixes
 per-(source token, copy slot) output distributions with the joint
 structure weights either way.
+
+Model is the one place that wires these stages.  prepare runs the stages
+that do not depend on the output length once per source, and complete
+finishes one candidate length: the structure, then the decoder, which is
+teacher-forced when target ids are given and otherwise, for the
+autoregressive decoder, runs greedily one position at a time.
 """
 
 from __future__ import annotations
@@ -87,20 +93,12 @@ def config_from_dict(cls, raw: dict):
 
 
 @dataclass
-class EncodedInput:
-    """Source-side tensors shared by every decoder variant."""
-
-    source_ids: np.ndarray
-    embeddings: Node       # x, one row per source token
-    fertility_states: Node  # BiLSTM features feeding the fertility head
-    context: Node          # h', the rows the decoder conditions on
-
-
-@dataclass
 class Prepared:
     """Length-independent forward state, reused across candidate lengths."""
 
-    encoded: EncodedInput
+    source_ids: np.ndarray
+    embeddings: Node          # x, one row per source token
+    context: Node             # h', the rows the decoder conditions on
     fertility: fertility.FertilityTable
     permutation: Node | None  # (n, n) source permutation, reorder-first only
 
@@ -187,35 +185,25 @@ class Model:
     # -- recurrent encoders -------------------------------------------------
 
     def _lstm(self, prefix: str, inputs: Node, state: tuple[Node, Node] | None = None
-              ) -> tuple[Node, tuple[Node, Node]]:
-        """States (T, H) of one LSTM direction over the rows of inputs.
+              ) -> Node:
+        """Packed states (T, 2H) of one LSTM direction over the rows of
+        inputs: row t is [h_t; c_t].  The recurrence starts from state, an
+        (h, c) pair (zeros when omitted)."""
+        return ad.lstm(inputs, self.store[prefix + ".W"], self.store[prefix + ".b"],
+                       state)
 
-        The recurrence starts from state, an (h, c) pair (zeros when
-        omitted), and also returns the final (h, c), so a caller can feed
-        the rows of a sequence one call at a time.
-        """
-        w = self.store[prefix + ".W"]
-        hidden = w.value.shape[0] // 4
-        packed = ad.lstm(inputs, w, self.store[prefix + ".b"], state)
-        h = ad.slice_(packed, (-1, slice(0, hidden)))
-        c = ad.slice_(packed, (-1, slice(hidden, None)))
-        return ad.slice_(packed, (slice(None), slice(0, hidden))), (h, c)
+    @staticmethod
+    def _hidden(packed: Node, rows=slice(None)) -> Node:
+        """The h half of packed LSTM states, at the given rows."""
+        return ad.slice_(packed, (rows, slice(0, packed.shape[1] // 2)))
 
-    def _bilstm(self, tag: str, inputs: Node) -> tuple[Node, Node, Node]:
-        """Per-row [fwd; bwd] states plus fencepost stacks.
-
-        ff[k] is the forward state after k rows and bb[k] the backward
-        state covering rows k..T-1; ff[0] and bb[T] are zero.
-        """
-        hidden = self.store[tag + ".fw.W"].value.shape[0] // 4
-        fwd, _ = self._lstm(tag + ".fw", inputs)
-        bwd, _ = self._lstm(tag + ".bw", ad.slice_(inputs, slice(None, None, -1)))
-        aligned = ad.slice_(bwd, slice(None, None, -1))
-        states = ad.concat([fwd, aligned], axis=1)
-        zero = ad.constant(np.zeros((1, hidden)))
-        ff = ad.concat([zero, fwd], axis=0)
-        bb = ad.concat([aligned, zero], axis=0)
-        return states, ff, bb
+    def _bilstm(self, tag: str, inputs: Node) -> tuple[Node, Node]:
+        """Forward and backward states (T, H), aligned by row: row t of the
+        backward states covers rows t..T-1."""
+        reverse = slice(None, None, -1)
+        fwd = self._lstm(tag + ".fw", inputs)
+        bwd = self._lstm(tag + ".bw", ad.slice_(inputs, reverse))
+        return self._hidden(fwd), self._hidden(bwd, reverse)
 
     def _mlp(self, prefix: str, inp: Node) -> Node:
         hid = ad.tanh(ad.matmul(inp, ad.transpose(self.store[prefix + ".W1"]))
@@ -229,7 +217,8 @@ class Model:
 
     # -- pipeline stages ----------------------------------------------------
 
-    def encode(self, source_ids: Sequence[int]) -> EncodedInput:
+    def encode(self, source_ids: Sequence[int]) -> tuple[Node, Node]:
+        """The embeddings x and the decoder context h' of the source rows."""
         cfg = self.config
         ids = np.asarray(source_ids, dtype=np.intp)
         if ids.ndim != 1 or ids.size == 0:
@@ -238,29 +227,28 @@ class Model:
             raise ad.DomainError(
                 f"source token id outside the vocabulary of size {cfg.source_vocab}")
         x = ad.gather(self.store["emb_src"], ids)
-        fert_states, _, _ = self._bilstm("fert", x)
         if cfg.skip_scale == 0.0:
-            context = x
-        else:
-            ctx_states, _, _ = self._bilstm("ctx", x)
-            if "ctx.proj" in self.store:
-                ctx_states = ad.matmul(ctx_states, ad.transpose(self.store["ctx.proj"]))
-            context = ctx_states * cfg.skip_scale + x
-        return EncodedInput(ids, x, fert_states, context)
+            return x, x
+        ctx_states = ad.concat(self._bilstm("ctx", x), axis=1)
+        if "ctx.proj" in self.store:
+            ctx_states = ad.matmul(ctx_states, ad.transpose(self.store["ctx.proj"]))
+        return x, ctx_states * cfg.skip_scale + x
 
-    def fertility_head(self, states: Node) -> fertility.FertilityTable:
-        logits = self._mlp("fert.mlp", states)
+    def fertility_head(self, rows: Node) -> fertility.FertilityTable:
+        """Fertility table of the given rows: a BiLSTM over them, then a
+        per-row softmax over 0..d copies."""
+        logits = self._mlp("fert.mlp", ad.concat(self._bilstm("fert", rows), axis=1))
         return fertility.FertilityTable(
             ad.softmax(logits, tau=self.config.temperature, axis=-1))
 
-    def compose_intermediate(self, enc: EncodedInput, marg: Node) -> Node:
+    def compose_intermediate(self, prep: Prepared, marg: Node) -> Node:
         """Expected copy sequence (length, e) under the fertility marginal F:
         row j is sum_{i,u} F[i,j,u] (x_i + w_u)."""
         n, length, d = marg.shape
         slots = self.store["slot_emb"]
         rep = np.repeat(np.arange(n), d)
         tile = np.tile(np.arange(d), n)
-        pairs = ad.gather(enc.embeddings, rep) + ad.gather(slots, tile)
+        pairs = ad.gather(prep.embeddings, rep) + ad.gather(slots, tile)
         weights = ad.reshape(ad.transpose(marg, (1, 0, 2)), (length, n * d))
         return ad.matmul(weights, pairs)
 
@@ -269,7 +257,12 @@ class Model:
         length = seq.shape[0]
         if length == 1:
             return reordering.SpanScores(1, ad.constant(np.zeros((0, 2))))
-        _, ff, bb = self._bilstm("reorder", seq)
+        fwd, bwd = self._bilstm("reorder", seq)
+        # fenceposts: ff[k] is the forward state after k rows and bb[k] the
+        # backward state covering rows k..T-1; ff[0] and bb[T] are zero
+        zero = ad.constant(np.zeros((1, fwd.shape[1])))
+        ff = ad.concat([zero, fwd], axis=0)
+        bb = ad.concat([bwd, zero], axis=0)
         span_list = reordering.spans(length)
         left = np.array([i for i, _ in span_list], dtype=np.intp)
         right = np.array([j for _, j in span_list], dtype=np.intp)
@@ -294,7 +287,7 @@ class Model:
         t = ad.transpose(ad.reshape(t, (n, length, d)), (2, 0, 1))
         return ad.reshape(t, (d * n, length))
 
-    def token_distributions(self, enc: EncodedInput,
+    def token_distributions(self, prep: Prepared,
                             ar_states: Node | None = None) -> Node:
         """Per-slot token distributions P(y | x_j, u).
 
@@ -302,12 +295,12 @@ class Model:
         (d, length, n, V) when autoregressive states are supplied.
         """
         cfg = self.config
-        n = enc.source_ids.shape[0]
-        inp = enc.context
+        n = prep.source_ids.shape[0]
+        inp = prep.context
         length = None
         if ar_states is not None:
             length = ar_states.shape[0]
-            inp = ad.reshape(ad.reshape(enc.context, (1, n, cfg.embedding_dim))
+            inp = ad.reshape(ad.reshape(prep.context, (1, n, cfg.embedding_dim))
                              + ad.reshape(ar_states, (length, 1, cfg.embedding_dim)),
                              (length * n, cfg.embedding_dim))
         feats = self._decoder_features(inp)
@@ -318,7 +311,7 @@ class Model:
             probs = ad.softmax(logits, axis=-1)
             if cfg.decoder == "copy":
                 onehot = np.zeros((n, cfg.target_vocab))
-                onehot[np.arange(n), self.copy_ids[enc.source_ids]] = 1.0
+                onehot[np.arange(n), self.copy_ids[prep.source_ids]] = 1.0
                 gate = ad.sigmoid(ad.matmul(feats, self.store["copy.gate.w"])
                                   + ad.slice_(self.store["copy.gate.b"], u))
                 gate = ad.reshape(gate, (n, 1))
@@ -358,7 +351,7 @@ class Model:
         states = ad.constant(np.zeros((1, cfg.decoder_hidden)))
         if length > 1:
             emb = ad.gather(self.store["emb_tgt"], ids[:-1])
-            states = ad.concat([states, self._lstm("ar", emb)[0]], axis=0)
+            states = ad.concat([states, self._hidden(self._lstm("ar", emb))], axis=0)
         return self._ar_project(states)
 
     def ar_step(self, token_id: int | None, state: tuple[Node, Node] | None = None
@@ -374,29 +367,30 @@ class Model:
             zero = ad.constant(np.zeros((1, self.config.decoder_hidden)))
             return self._ar_project(zero), None
         emb = ad.gather(self.store["emb_tgt"], np.array([token_id], dtype=np.intp))
-        states, state = self._lstm("ar", emb, state)
-        return self._ar_project(states), state
+        packed = self._lstm("ar", emb, state)
+        c = ad.slice_(packed, (-1, slice(packed.shape[1] // 2, None)))
+        return self._ar_project(self._hidden(packed)), (self._hidden(packed, -1), c)
 
     # -- orchestration ------------------------------------------------------
 
     def prepare(self, source_ids: Sequence[int]) -> Prepared:
-        """Run every length-independent stage once per source."""
-        enc = self.encode(source_ids)
-        if self.config.composition == "fertility-first":
-            ft = self.fertility_head(enc.fertility_states)
-            return Prepared(enc, ft, None)
-        perm = reordering.expected_permutation(self.reordering_scores(enc.embeddings))
-        reordered = ad.matmul(ad.transpose(perm), enc.embeddings)
-        states, _, _ = self._bilstm("fert", reordered)
-        ft = self.fertility_head(states)
-        return Prepared(enc, ft, perm)
+        """Run every length-independent stage once per source: the fertility
+        head reads x in the fertility-first order and P^T x in the
+        reorder-first order."""
+        ids = np.asarray(source_ids, dtype=np.intp)
+        x, context = self.encode(ids)
+        rows, perm = x, None
+        if self.config.composition == "reorder-first":
+            perm = reordering.expected_permutation(self.reordering_scores(x))
+            rows = ad.matmul(ad.transpose(perm), x)
+        return Prepared(ids, x, context, self.fertility_head(rows), perm)
 
     def structure(self, prep: Prepared, length: int) -> Structure:
         """The target-independent stages for one candidate output length."""
         marg = fertility.marginal_fertility(prep.fertility, length)
         log_len = fertility.log_length_probability(prep.fertility, length)
         if self.config.composition == "fertility-first":
-            inter = self.compose_intermediate(prep.encoded, marg)
+            inter = self.compose_intermediate(prep, marg)
             perm = reordering.expected_permutation(self.reordering_scores(inter))
         else:
             perm = prep.permutation
@@ -407,16 +401,26 @@ class Model:
         """Finish the forward pass for one candidate output length.
 
         Returns the Structure and the (length, target_vocab) output rows,
-        each a distribution.
+        each a distribution.  The autoregressive decoder is teacher-forced
+        on target_ids; without them it decodes greedily, one ar_step per
+        position fed the argmax of the row before.
         """
         st = self.structure(prep, length)
-        ar_states = None
-        if self.config.decoder == "autoregressive":
-            if target_ids is None:
-                raise ad.UsageError("autoregressive decoder needs target ids "
-                                    "for teacher forcing")
+        if self.config.decoder != "autoregressive":
+            ar_states = None
+        elif target_ids is not None:
             ar_states = self.ar_context(target_ids, length)
-        token_probs = self.token_distributions(prep.encoded, ar_states)
+        else:
+            rows = []
+            token, state = None, None
+            for pos in range(length):
+                ar_row, state = self.ar_step(token, state)
+                column = ad.slice_(st.mixing, (slice(None), slice(pos, pos + 1)))
+                rows.append(self.output_distributions(
+                    self.token_distributions(prep, ar_row), column))
+                token = int(np.argmax(rows[-1].value[0]))
+            return st, ad.concat(rows, axis=0)
+        token_probs = self.token_distributions(prep, ar_states)
         return st, self.output_distributions(token_probs, st.mixing)
 
     def transduce(self, source_ids: Sequence[int], length: int,

@@ -60,6 +60,13 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.learning_rate <= 0 or self.clip_norm <= 0:
             raise ValueError("learning_rate and clip_norm must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be positive")
+        if self.stop_exact_match is not None and not 0 <= self.stop_exact_match <= 1:
+            raise ValueError("stop_exact_match must be in [0, 1]")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

