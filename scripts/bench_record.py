@@ -5,11 +5,12 @@
 
 Each workload listed in BENCHMARK.json runs k times, with seeds seed0 ..
 seed0+k-1, for its run_seconds, one process after another.  The file
-records the commit and its uncommitted changes, the Python and numpy
-versions, nproc and the seeds, and per workload the median and the
-spread (interquartile range over median) of each end-to-end metric, the
-failed-operation count, and every run's values.  Compare two files only
-when they were written on the same machine.
+records the commit and the files that differ from it (untracked ones
+included), the Python and numpy versions, nproc and the seeds, and per
+workload the median and the spread (interquartile range over median) of
+each end-to-end metric, the failed-operation count, and every run's
+values.  Compare two files only when they were written on the same
+machine.
 """
 
 import argparse
@@ -32,6 +33,16 @@ def git(*args) -> str | None:
                               text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+def uncommitted_changes() -> list[str] | None:
+    """Tracked files that differ from HEAD, then untracked files that are
+    not ignored; None when git cannot tell."""
+    changed = git("diff", "--name-only", "HEAD")
+    untracked = git("ls-files", "--others", "--exclude-standard")
+    if changed is None or untracked is None:
+        return None
+    return changed.splitlines() + untracked.splitlines()
 
 
 def run_workload(command: list[str], name: str, seed: int, seconds: float) -> dict:
@@ -86,10 +97,9 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metric_names = [m["name"] for m in spec["end_to_end"]]
     seeds = list(range(args.seed0, args.seed0 + args.k))
-    changed = git("diff", "--name-only", "HEAD")
     record = {
         "commit": git("rev-parse", "HEAD"),
-        "uncommitted_changes": None if changed is None else changed.splitlines(),
+        "uncommitted_changes": uncommitted_changes(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),

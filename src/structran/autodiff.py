@@ -219,27 +219,15 @@ def mul(a, b) -> Node:
 
 
 def matmul(a, b) -> Node:
+    """Product of two 2-D operands."""
     a, b = _wrap(a), _wrap(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ShapeError("matmul", a.shape, b.shape)
-    if a.value.shape[-1] != b.value.shape[0]:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
     v = a.value @ b.value
 
     def bw(g):
-        av, bv = a.value, b.value
-        if a.ndim == 2 and b.ndim == 2:
-            _acc(a, g @ bv.T)
-            _acc(b, av.T @ g)
-        elif a.ndim == 2 and b.ndim == 1:
-            _acc(a, np.outer(g, bv))
-            _acc(b, av.T @ g)
-        elif a.ndim == 1 and b.ndim == 2:
-            _acc(a, bv @ g)
-            _acc(b, np.outer(av, g))
-        else:
-            _acc(a, g * bv)
-            _acc(b, g * av)
+        _acc(a, g @ b.value.T)
+        _acc(b, a.value.T @ g)
 
     return make_node(v, (a, b), bw)
 
@@ -261,20 +249,6 @@ def concat(nodes: Iterable[Node], axis: int = 0) -> Node:
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
             _acc(x, g[tuple(idx)])
-
-    return make_node(v, tuple(nodes), bw)
-
-
-def stack(nodes: Iterable[Node], axis: int = 0) -> Node:
-    nodes = [_wrap(x) for x in nodes]
-    try:
-        v = np.stack([x.value for x in nodes], axis=axis)
-    except ValueError:
-        raise ShapeError("stack", *[x.shape for x in nodes])
-
-    def bw(g):
-        for k, x in enumerate(nodes):
-            _acc(x, np.take(g, k, axis=axis))
 
     return make_node(v, tuple(nodes), bw)
 
@@ -348,19 +322,14 @@ def transpose(a: Node, axes=None) -> Node:
 
 
 def sum_(a: Node, axis=None, keepdims: bool = False) -> Node:
+    """Sum over axis: None for all, an int, or a tuple of ints."""
     a = _wrap(a)
-    v = a.value.sum(axis=axis, keepdims=keepdims)
-    if not isinstance(v, np.ndarray):
-        v = np.asarray(v)
+    v = np.asarray(a.value.sum(axis=axis, keepdims=keepdims))
 
     def bw(g):
-        if axis is None:
-            _acc(a, np.broadcast_to(g, a.value.shape).copy() if g.shape != a.value.shape else g)
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        _acc(a, np.broadcast_to(gg, a.value.shape))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _acc(a, np.broadcast_to(g, a.value.shape))
 
     return make_node(v, (a,), bw)
 

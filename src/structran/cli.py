@@ -55,9 +55,12 @@ def load_config_file(path) -> tuple[dict, dict]:
         if unknown:
             raise ValueError(f"unknown config sections: {', '.join(unknown)}")
         model_raw, train_raw = dict(raw.get("model", {})), dict(raw.get("training", {}))
-        # the vocabulary sizes come from the data; stand-ins let every
-        # other key and value be checked now
-        ModelConfig.from_dict({"source_vocab": 1, "target_vocab": 1, **model_raw})
+        for key in ("source_vocab", "target_vocab"):
+            if key in model_raw:
+                raise ValueError(f"model.{key} cannot be set: the vocabulary "
+                                 f"sizes come from the training data")
+        # stand-in vocabulary sizes let every other key and value be checked now
+        ModelConfig.from_dict({**model_raw, "source_vocab": 1, "target_vocab": 1})
         training.TrainConfig.from_dict(train_raw)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
@@ -79,9 +82,9 @@ def cmd_train(args) -> int:
     train_examples = data.read_jsonl(data_dir / "train.jsonl")
     dev_examples = data.read_jsonl(data_dir / "dev.jsonl")
     source_vocab, target_vocab = data.build_vocabularies(train_examples)
-    model_raw.setdefault("source_vocab", len(source_vocab))
-    model_raw.setdefault("target_vocab", len(target_vocab))
-    model_config = ModelConfig.from_dict(model_raw)
+    model_config = ModelConfig.from_dict({**model_raw,
+                                          "source_vocab": len(source_vocab),
+                                          "target_vocab": len(target_vocab)})
     train_config = training.TrainConfig.from_dict(train_raw)
     model = build_model(model_config, source_vocab, target_vocab)
     train_pairs = data.encode_examples(train_examples, source_vocab, target_vocab)

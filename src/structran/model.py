@@ -289,49 +289,40 @@ class Model:
 
     def token_distributions(self, prep: Prepared,
                             ar_states: Node | None = None) -> Node:
-        """Per-slot token distributions P(y | x_j, u).
+        """Per-slot token distributions P(y | x_j, u) as a (d, rows, n, V) table.
 
-        Returns (d, n, V) for the position-independent decoders, or
-        (d, length, n, V) when autoregressive states are supplied.
+        rows is 1 for the position-independent decoders and one per
+        autoregressive state row otherwise.
         """
         cfg = self.config
+        d, vocab, e = cfg.max_fertility, cfg.target_vocab, cfg.embedding_dim
         n = prep.source_ids.shape[0]
-        inp = prep.context
-        length = None
+        inp, rows = prep.context, 1
         if ar_states is not None:
-            length = ar_states.shape[0]
-            inp = ad.reshape(ad.reshape(prep.context, (1, n, cfg.embedding_dim))
-                             + ad.reshape(ar_states, (length, 1, cfg.embedding_dim)),
-                             (length * n, cfg.embedding_dim))
+            rows = ar_states.shape[0]
+            inp = ad.reshape(ad.reshape(prep.context, (1, n, e))
+                             + ad.reshape(ar_states, (rows, 1, e)), (rows * n, e))
         feats = self._decoder_features(inp)
-        out_proj = self.store["out.proj"]
-        per_slot = []
-        for u in range(cfg.max_fertility):
-            logits = ad.matmul(feats, ad.transpose(ad.slice_(out_proj, u)))
-            probs = ad.softmax(logits, axis=-1)
-            if cfg.decoder == "copy":
-                onehot = np.zeros((n, cfg.target_vocab))
-                onehot[np.arange(n), self.copy_ids[prep.source_ids]] = 1.0
-                gate = ad.sigmoid(ad.matmul(feats, self.store["copy.gate.w"])
-                                  + ad.slice_(self.store["copy.gate.b"], u))
-                gate = ad.reshape(gate, (n, 1))
-                probs = gate * ad.constant(onehot) + (1.0 - gate) * probs
-            per_slot.append(probs)
-        stacked = ad.stack(per_slot, axis=0)
-        if ar_states is not None:
-            return ad.reshape(stacked, (cfg.max_fertility, length, n, cfg.target_vocab))
-        return stacked
+        proj = ad.reshape(self.store["out.proj"], (d * vocab, cfg.output_mlp))
+        logits = ad.reshape(ad.matmul(feats, ad.transpose(proj)), (rows * n, d, vocab))
+        probs = ad.softmax(logits, axis=-1)
+        if cfg.decoder == "copy":
+            onehot = np.zeros((n, 1, vocab))
+            onehot[np.arange(n), 0, self.copy_ids[prep.source_ids]] = 1.0
+            w = ad.reshape(self.store["copy.gate.w"], (cfg.output_mlp, 1))
+            gate = ad.sigmoid(ad.matmul(feats, w) + self.store["copy.gate.b"])
+            gate = ad.reshape(gate, (n, d, 1))
+            probs = gate * ad.constant(onehot) + (1.0 - gate) * probs
+        return ad.transpose(ad.reshape(probs, (rows, n, d, vocab)), (2, 0, 1, 3))
 
     def output_distributions(self, token_probs: Node, mixing: Node) -> Node:
-        """Mix per-slot distributions into per-position output rows."""
-        if token_probs.ndim == 3:
-            d, n, vocab = token_probs.shape
-            flat = ad.reshape(token_probs, (d * n, vocab))
-            return ad.matmul(ad.transpose(mixing), flat)
-        d, length, n, vocab = token_probs.shape
-        a4 = ad.reshape(ad.transpose(ad.reshape(mixing, (d, n, length)), (0, 2, 1)),
-                        (d, length, n, 1))
-        return ad.sum_(ad.sum_(a4 * token_probs, axis=2), axis=0)
+        """Mix the (d, rows, n, V) slot table into (length, V) output rows:
+        row i is sum_{u,j} mixing[u*n + j, i] * token_probs[u, r, j], with
+        r = 0 when rows is 1 and r = i otherwise."""
+        d, _, n, _ = token_probs.shape
+        length = mixing.shape[1]
+        weights = ad.transpose(ad.reshape(mixing, (d, n, length, 1)), (0, 2, 1, 3))
+        return ad.sum_(weights * token_probs, axis=(0, 2))
 
     def _ar_project(self, states: Node) -> Node:
         """Decoder LSTM states (rows, decoder_hidden) in embedding space."""

@@ -124,11 +124,14 @@ def exhaustive_decode(
     token_probs: Callable[[int], np.ndarray],
     lengths: Sequence[int],
     vocab: int,
-) -> tuple[int, tuple[int, ...], float]:
-    """Best (length, tokens) by scoring every candidate output exactly.
+    accept: Callable[[tuple[int, ...]], bool] | None = None,
+) -> tuple[int, tuple[int, ...], float] | None:
+    """Best (length, tokens, score) by scoring every candidate output exactly.
 
-    Ties are resolved toward smaller length, then lexicographic tokens, which
-    matches the decoder's argmax conventions.
+    When accept is given, only token tuples it accepts compete, and the
+    result is None if it accepts none.  Ties are resolved toward smaller
+    length, then lexicographic tokens, which matches the decoder's argmax
+    conventions.
     """
     total = sum(vocab ** l for l in lengths)
     if total > ENUM_LIMIT:
@@ -140,10 +143,11 @@ def exhaustive_decode(
         with np.errstate(divide="ignore"):
             logp = np.log(probs)
         for ys in itertools.product(range(vocab), repeat=l):
+            if accept is not None and not accept(ys):
+                continue
             score = lp + sum(logp[i, y] for i, y in enumerate(ys))
             if best is None or score > best[2]:
                 best = (l, ys, score)
-    assert best is not None
     return best
 
 
@@ -167,33 +171,6 @@ def cyk_recognizer(grammar, tokens: Sequence[str]) -> bool:
                     if b in left and c in right:
                         cell.add(lhs)
     return grammar.start in chart[0][n]
-
-
-def exhaustive_decode_grammar(
-    length_logprob: Callable[[int], float],
-    token_probs: Callable[[int], np.ndarray],
-    lengths: Sequence[int],
-    vocab: int,
-    grammar,
-    id_to_token: Callable[[int], str],
-) -> tuple[int, tuple[int, ...], float] | None:
-    """Like exhaustive_decode but keeps only candidates the grammar accepts."""
-    total = sum(vocab ** l for l in lengths)
-    if total > ENUM_LIMIT:
-        raise ValueError(f"enumeration too large: {total} candidates")
-    best = None
-    for l in sorted(lengths):
-        lp = length_logprob(l)
-        probs = token_probs(l)
-        with np.errstate(divide="ignore"):
-            logp = np.log(probs)
-        for ys in itertools.product(range(vocab), repeat=l):
-            if not cyk_recognizer(grammar, [id_to_token(y) for y in ys]):
-                continue
-            score = lp + sum(logp[i, y] for i, y in enumerate(ys))
-            if best is None or score > best[2]:
-                best = (l, ys, score)
-    return best
 
 
 def finite_difference_grad(

@@ -1,5 +1,6 @@
 """Tape mechanics, per-op gradients, and the parameter store."""
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -71,8 +72,9 @@ class TestForwardValues:
         b = np.arange(12.0).reshape(3, 4)
         v = np.arange(3.0)
         np.testing.assert_allclose(ad.matmul(ad.constant(a), ad.constant(b)).value, a @ b)
-        np.testing.assert_allclose(ad.matmul(ad.constant(a), ad.constant(v)).value, a @ v)
-        np.testing.assert_allclose(ad.matmul(ad.constant(v), ad.constant(v)).value, v @ v)
+        for x, y in ((a, v), (v, b), (v, v)):
+            with pytest.raises(ad.ShapeError, match="matmul"):
+                ad.matmul(ad.constant(x), ad.constant(y))
 
     def test_lstm_matches_per_step_formula(self):
         rng = np.random.default_rng(3)
@@ -133,9 +135,9 @@ class TestBackward:
     def test_composite_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         w1 = rng.normal(size=(4, 3)) * 0.5
-        b1 = rng.normal(size=4) * 0.1
-        w2 = rng.normal(size=4) * 0.5
-        x = rng.normal(size=3)
+        b1 = rng.normal(size=(4, 1)) * 0.1
+        w2 = rng.normal(size=(4, 1)) * 0.5
+        x = rng.normal(size=(3, 1))
 
         def build(nodes):
             nw1, nb1, nw2, nx = nodes
@@ -197,7 +199,7 @@ class TestPerOpGradients:
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul"])
     def test_broadcast_arithmetic(self, op):
-        rng = np.random.default_rng(hash(op) % 2 ** 32)
+        rng = np.random.default_rng(zlib.crc32(op.encode()))
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(3,)) + 3.0
         w = rng.normal(size=(2, 3))
@@ -232,17 +234,13 @@ class TestPerOpGradients:
         with pytest.raises(ad.DomainError):
             ad.softmax(ad.constant(np.zeros(2)), tau=0.0)
 
-    def test_concat_and_stack_gradients(self):
+    def test_concat_gradients(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(2, 3))
         w = rng.normal(size=(4, 3))
         assert checks.run_case(
             "concat", lambda ns: ad.sum_(ad.mul(ad.concat(ns, axis=0), ad.constant(w))),
-            [a, b], tol=1e-5).ok
-        w2 = rng.normal(size=(2, 2, 3))
-        assert checks.run_case(
-            "stack", lambda ns: ad.sum_(ad.mul(ad.stack(ns, axis=0), ad.constant(w2))),
             [a, b], tol=1e-5).ok
 
     def test_shape_mismatch_detected(self):

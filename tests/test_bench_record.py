@@ -1,4 +1,5 @@
-"""scripts/bench_record.py: reading one benchmark process's result line."""
+"""scripts/bench_record.py: reading one benchmark process's result line and
+listing the uncommitted files a record was measured with."""
 import importlib.util
 import subprocess
 from pathlib import Path
@@ -38,3 +39,16 @@ def test_the_last_line_is_the_result(bench_record, monkeypatch):
                         fake_run('progress\n{"failed": 0}\n', 0))
     assert bench_record.run_workload(["python3", "run.py"], "train", 5, 1.0) == {
         "failed": 0, "exit_code": 0}
+
+
+def test_uncommitted_changes_include_untracked_files(bench_record, monkeypatch):
+    outputs = {("diff", "--name-only", "HEAD"): "src/structran/model.py",
+               ("ls-files", "--others", "--exclude-standard"): "new.py\nnotes/a.txt"}
+    monkeypatch.setattr(bench_record, "git", lambda *args: outputs[args])
+    assert bench_record.uncommitted_changes() == [
+        "src/structran/model.py", "new.py", "notes/a.txt"]
+
+
+def test_uncommitted_changes_are_unknown_without_git(bench_record, monkeypatch):
+    monkeypatch.setattr(bench_record, "git", lambda *args: None)
+    assert bench_record.uncommitted_changes() is None

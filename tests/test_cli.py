@@ -347,6 +347,19 @@ class TestFileErrors:
         assert capsys.readouterr().err == f"error: {config}: beta1 must be in [0, 1)\n"
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("key", ["source_vocab", "target_vocab"])
+    def test_vocabulary_size_in_config_names_the_file_and_key(
+            self, tmp_path, corpus, capsys, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "model": {
+            **TINY_CONFIG["model"], key: 20}}), encoding="utf-8")
+        assert main(["train", "--config", str(config), "--data", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: model.{key} cannot be set: the vocabulary sizes "
+            f"come from the training data\n")
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_malformed_meta_json_names_the_file(self, tmp_path, corpus, trained,
                                                 capsys):
         _, ckpt = trained

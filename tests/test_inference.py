@@ -204,8 +204,10 @@ class TestPredictGrammar:
             lengths = feasible_lengths(m, src)
             g = random_cnf(random.Random(seed + 20), TARGET_TOKENS)
             llp, tp = oracle_closures(m, src)
-            want = oracles.exhaustive_decode_grammar(
-                llp, tp, lengths, 3, g, lambda y: TARGET_TOKENS[y])
+            want = oracles.exhaustive_decode(
+                llp, tp, lengths, 3,
+                accept=lambda ys: oracles.cyk_recognizer(
+                    g, [TARGET_TOKENS[y] for y in ys]))
             if want is None:
                 with pytest.raises(InferenceError, match="attempted"):
                     decode(m, src, k=len(lengths), grammar=g,

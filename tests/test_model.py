@@ -176,13 +176,13 @@ class TestTransduction:
         _, probs = m.transduce([3], 1)
         direct = m.token_distributions(m.prepare([3]))
         np.testing.assert_allclose(probs.value[0],
-                                   direct.value[0, 0], atol=1e-12)
+                                   direct.value[0, 0, 0], atol=1e-12)
 
     def test_copies_of_one_token_can_differ(self):
         m = md.Model(tiny_config())
         direct = m.token_distributions(m.prepare([3])).value
-        assert direct.shape == (2, 1, 6)
-        assert not np.allclose(direct[0, 0], direct[1, 0])
+        assert direct.shape == (2, 1, 1, 6)
+        assert not np.allclose(direct[0, 0, 0], direct[1, 0, 0])
 
     def test_repeat_runs_are_bit_identical(self):
         a = md.Model(tiny_config()).transduce([0, 2, 4], 5)[1].value
@@ -231,7 +231,7 @@ class TestAutoregressiveDecoder:
         _, probs = m.transduce([0, 1], 3, target_ids=[2, 0, 5])
         np.testing.assert_allclose(probs.value.sum(axis=1), 1.0, atol=1e-6)
         token_probs = m.token_distributions(m.prepare([0, 1]), m.ar_context([2, 0, 5], 3))
-        assert token_probs.ndim == 4
+        assert token_probs.shape == (2, 3, 2, 6)  # (d, rows, n, V), one row per state
 
     def test_prefix_alone_determines_each_row(self):
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))

@@ -138,18 +138,18 @@ class TestRecognizer:
         def token_probs(l):
             return np.full((l, 2), 0.5)
 
-        best = oracles.exhaustive_decode_grammar(
+        best = oracles.exhaustive_decode(
             lambda l: math.log(0.5), token_probs, [1, 2], 2,
-            AB_GRAMMAR, lambda y: "ab"[y])
+            accept=lambda ys: oracles.cyk_recognizer(AB_GRAMMAR, ["ab"[y] for y in ys]))
         assert best is not None
         l, ys, score = best
         assert (l, ys) == (2, (0, 1))
         assert score == pytest.approx(math.log(0.5) + 2 * math.log(0.5))
 
     def test_no_grammatical_candidate_returns_none(self):
-        got = oracles.exhaustive_decode_grammar(
+        got = oracles.exhaustive_decode(
             lambda l: 0.0, lambda l: np.ones((l, 1)), [1, 3], 1,
-            AB_GRAMMAR, lambda y: "a")
+            accept=lambda ys: oracles.cyk_recognizer(AB_GRAMMAR, ["a"] * len(ys)))
         assert got is None
 
 
