@@ -254,7 +254,12 @@ def concat(nodes: Iterable[Node], axis: int = 0) -> Node:
 
 
 def slice_(a: Node, key) -> Node:
-    """Static slicing/indexing with ints, slices, and integer arrays."""
+    """Static slicing/indexing with ints, slices, and integer arrays.
+
+    An integer array on axis 0 is the row lookup (the embedding lookup):
+    indices are not range-checked here, so callers check them against the
+    table first.
+    """
     a = _wrap(a)
     v = a.value[key]
     if not isinstance(v, np.ndarray):
@@ -272,24 +277,6 @@ def slice_(a: Node, key) -> Node:
             np.add.at(a.grad, key, g)
         else:
             a.grad[key] += g
-
-    return make_node(v, (a,), bw)
-
-
-def gather(a: Node, indices) -> Node:
-    """Take rows (axis 0) by integer index; also the embedding lookup."""
-    a = _wrap(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    if np.any(idx < 0) or np.any(idx >= a.value.shape[0]):
-        raise DomainError(f"gather: index out of range for axis of size {a.value.shape[0]}")
-    v = a.value[idx]
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        np.add.at(a.grad, idx, g)
 
     return make_node(v, (a,), bw)
 
@@ -390,10 +377,7 @@ def softmax(a: Node, tau: float = 1.0, axis: int = -1) -> Node:
     a = _wrap(a)
     if tau <= 0.0:
         raise DomainError(f"softmax: temperature must be positive, got {tau}")
-    z = a.value / tau
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    v = e / e.sum(axis=axis, keepdims=True)
+    v = lse_softmax(a.value / tau, axis)[1]
 
     def bw(g):
         inner = (g * v).sum(axis=axis, keepdims=True)
@@ -417,14 +401,14 @@ def lse_softmax(x: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
     return v, e / np.where(s > 0.0, s, 1.0)
 
 
-def lstm(inputs: Node, w: Node, b: Node,
-         state: tuple[Node, Node] | None = None) -> Node:
+def lstm(inputs: Node, w: Node, b: Node, state: Node | None = None) -> Node:
     """One LSTM direction over the rows of inputs (T, D) as a single op.
 
     w is (4H, D + H), the input and recurrent weights side by side, and b
     is (4H,); the gate blocks are (input, forget, cell, output).  The
-    recurrence starts from state, an (h, c) pair of (H,) nodes, or from
-    zeros.  Returns (T, 2H) whose row t is [h_t; c_t].
+    recurrence starts from state, one (2H,) row [h_0; c_0] in the form of
+    the rows this op returns, or from zeros.  Returns (T, 2H) whose row t
+    is [h_t; c_t].
 
     The input contributions of all steps are one matrix product, outside
     the recurrence (Appleyard et al. 2016); the backward is one reverse
@@ -441,10 +425,10 @@ def lstm(inputs: Node, w: Node, b: Node,
     hs, cs = np.zeros((steps + 1, hdim)), np.zeros((steps + 1, hdim))
     init = ()
     if state is not None:
-        init = (_wrap(state[0]), _wrap(state[1]))
-        if init[0].shape != (hdim,) or init[1].shape != (hdim,):
-            raise ShapeError("lstm", w.shape, init[0].shape, init[1].shape)
-        hs[0], cs[0] = init[0].value, init[1].value
+        init = (_wrap(state),)
+        if init[0].shape != (2 * hdim,):
+            raise ShapeError("lstm", w.shape, init[0].shape)
+        hs[0], cs[0] = init[0].value[:hdim], init[0].value[hdim:]
     wx, wh = w.value[:, :in_dim], w.value[:, in_dim:]
     zx = x.value @ wx.T + b.value
     act = np.empty((steps, 4 * hdim))  # gate activations i, f, g, o
@@ -481,8 +465,7 @@ def lstm(inputs: Node, w: Node, b: Node,
         _acc(b, dz.sum(axis=0))
         _acc(x, dz @ wx)
         if init:
-            _acc(init[0], dh_next)
-            _acc(init[1], dc_next)
+            _acc(init[0], np.concatenate([dh_next, dc_next]))
 
     return make_node(v, (x, w, b) + init, bw)
 

@@ -36,22 +36,29 @@ class CheckResult:
         return self.error <= self.tolerance
 
 
+def compare_gradients(name: str, loss: Callable[[], ad.Node], nodes: list[ad.Node],
+                      tol: float) -> CheckResult:
+    """Tape gradients of loss() with respect to nodes against finite
+    differences, which perturb each node's value in place."""
+    for node in nodes:
+        node.grad = None
+    ad.backward(loss())
+    analytic = [np.zeros_like(node.value) if node.grad is None else node.grad
+                for node in nodes]
+
+    def f():
+        with ad.no_grad():
+            return float(loss().value)
+
+    numeric = oracles.finite_difference_grad(f, [node.value for node in nodes])
+    return CheckResult(name, oracles.max_relative_error(analytic, numeric), tol)
+
+
 def run_case(name: str, build: Callable, arrays: list[np.ndarray],
              tol: float = OP_TOLERANCE) -> CheckResult:
     """Compare tape gradients of build(nodes) with finite differences."""
     nodes = [ad.parameter(a.copy()) for a in arrays]
-    loss = build(nodes)
-    ad.backward(loss)
-    analytic = [np.zeros_like(a) if node.grad is None else node.grad
-                for node, a in zip(nodes, arrays)]
-
-    fd_arrays = [a.copy() for a in arrays]
-
-    def f():
-        return float(build([ad.constant(a) for a in fd_arrays]).value)
-
-    numeric = oracles.finite_difference_grad(f, fd_arrays)
-    return CheckResult(name, oracles.max_relative_error(analytic, numeric), tol)
+    return compare_gradients(name, lambda: build(nodes), nodes, tol)
 
 
 def _weighted(node: ad.Node) -> ad.Node:
@@ -93,7 +100,7 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
     case("slice.fancy", lambda n: _weighted(ad.slice_(n[0], (dup_rows, dup_cols))),
          lambda r: [r((3, 3))])
     dup_idx = np.array([0, 1, 1, 3, 0])
-    case("gather.dup", lambda n: _weighted(ad.gather(n[0], dup_idx)),
+    case("slice.rows.dup", lambda n: _weighted(ad.slice_(n[0], dup_idx)),
          lambda r: [r((4, 3))])
     case("reshape", lambda n: _weighted(ad.reshape(n[0], (2, 6))),
          lambda r: [r((3, 4))])
@@ -146,14 +153,13 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
          lambda r: [r((len(reordering.spans(5)), 2)) * 1.5])
 
     def lstm(n):
-        state = (n[3], n[4]) if len(n) > 3 else None
-        return _weighted(ad.lstm(n[0], n[1], n[2], state))
+        return _weighted(ad.lstm(*n))
 
     def lstm_arrays(r):
         return [r((5, 2)), r((12, 5)), r(12)]  # T=5, D=2, H=3
 
     case("lstm", lstm, lstm_arrays)
-    case("lstm.state", lstm, lambda r: lstm_arrays(r) + [r(3), r(3)])
+    case("lstm.state", lstm, lambda r: lstm_arrays(r) + [r(6)])
 
     return cases
 
@@ -178,30 +184,8 @@ def _tiny_config(**overrides) -> ModelConfig:
 def run_model_case(name: str, model: Model, loss_fn: Callable,
                    tol: float = MODEL_TOLERANCE) -> CheckResult:
     """Finite-difference check of loss_fn(model) over every parameter."""
-    model.store.zero_grads()
-    loss = loss_fn(model)
-    ad.backward(loss)
-    names = model.store.names()
-    analytic = []
-    arrays = []
-    for n in names:
-        node = model.store[n]
-        arrays.append(node.value.copy())
-        analytic.append(np.zeros_like(node.value) if node.grad is None
-                        else node.grad.copy())
-
-    fd_arrays = [a.copy() for a in arrays]
-
-    def f():
-        for n, a in zip(names, fd_arrays):
-            model.store[n].value[...] = a
-        with ad.no_grad():
-            return float(loss_fn(model).value)
-
-    numeric = oracles.finite_difference_grad(f, fd_arrays)
-    for n, a in zip(names, arrays):
-        model.store[n].value[...] = a
-    return CheckResult(name, oracles.max_relative_error(analytic, numeric), tol)
+    nodes = [node for _, node in model.store.items()]
+    return compare_gradients(name, lambda: loss_fn(model), nodes, tol)
 
 
 def model_cases() -> list[tuple[str, Model, Callable]]:

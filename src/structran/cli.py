@@ -54,7 +54,10 @@ def load_config_file(path) -> tuple[dict, dict]:
         unknown = sorted(set(raw) - {"model", "training"})
         if unknown:
             raise ValueError(f"unknown config sections: {', '.join(unknown)}")
-        model_raw, train_raw = dict(raw.get("model", {})), dict(raw.get("training", {}))
+        model_raw, train_raw = raw.get("model", {}), raw.get("training", {})
+        for name, section in (("model", model_raw), ("training", train_raw)):
+            if not isinstance(section, dict):
+                raise ValueError(f"config section {name!r} must be a JSON object")
         for key in ("source_vocab", "target_vocab"):
             if key in model_raw:
                 raise ValueError(f"model.{key} cannot be set: the vocabulary "

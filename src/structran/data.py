@@ -102,8 +102,8 @@ def write_jsonl(path, examples: Iterable[Example]) -> None:
 def read_fields(path, *fields: str) -> list[tuple]:
     """(line number, one token list per field) for each non-blank line.
 
-    Every field must be a non-empty JSON array of strings or numbers; any
-    other line raises DatasetError naming the path and the line.
+    Every field must be a non-empty JSON array of strings or numbers (not
+    booleans); any other line raises DatasetError naming the path and the line.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -119,7 +119,8 @@ def read_fields(path, *fields: str) -> list[tuple]:
             for name in fields:
                 value = obj.get(name) if isinstance(obj, dict) else None
                 if not isinstance(value, list) or not all(
-                        isinstance(t, (str, int, float)) for t in value):
+                        isinstance(t, (str, int, float)) and not isinstance(t, bool)
+                        for t in value):
                     raise DatasetError(f"{path}: line {lineno}: expected "
                                        f"{name!r} to be a JSON array of tokens")
                 if not value:

@@ -16,14 +16,16 @@ structure weights either way.
 
 Model is the one place that wires these stages.  prepare runs the stages
 that do not depend on the output length once per source, and complete
-finishes one candidate length: the structure, then the decoder, which is
-teacher-forced when target ids are given and otherwise, for the
-autoregressive decoder, runs greedily one position at a time.
+finishes one candidate length: the structure, then the decoder.  The
+autoregressive decoder runs its LSTM through ar_context, over the whole
+target prefix when target ids are given (teacher forcing) and otherwise
+one greedy token at a time, carrying the packed [h; c] state row.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,12 +85,23 @@ class ModelConfig:
         return config_from_dict(cls, raw)
 
 
+# JSON value types a config field accepts, by its annotation; never a boolean
+_JSON_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "float | None": ((int, float, type(None)), "a number or null"),
+               "str": ((str,), "a string")}
+
+
 def config_from_dict(cls, raw: dict):
-    """Build a config dataclass, rejecting unknown keys loudly."""
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - known)
+    """Build a config dataclass from parsed JSON, rejecting unknown keys and
+    values of the wrong JSON type loudly."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    for name, value in raw.items():
+        kinds, what = _JSON_KINDS[types[name]]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{name} must be {what}, got {json.dumps(value)}")
     return cls(**raw)
 
 
@@ -184,11 +197,10 @@ class Model:
 
     # -- recurrent encoders -------------------------------------------------
 
-    def _lstm(self, prefix: str, inputs: Node, state: tuple[Node, Node] | None = None
-              ) -> Node:
+    def _lstm(self, prefix: str, inputs: Node, state: Node | None = None) -> Node:
         """Packed states (T, 2H) of one LSTM direction over the rows of
-        inputs: row t is [h_t; c_t].  The recurrence starts from state, an
-        (h, c) pair (zeros when omitted)."""
+        inputs: row t is [h_t; c_t].  The recurrence starts from state, one
+        such (2H,) row (zeros when omitted)."""
         return ad.lstm(inputs, self.store[prefix + ".W"], self.store[prefix + ".b"],
                        state)
 
@@ -211,10 +223,6 @@ class Model:
         return ad.matmul(hid, ad.transpose(self.store[prefix + ".W2"])) \
             + self.store[prefix + ".b2"]
 
-    def _decoder_features(self, inp: Node) -> Node:
-        return ad.tanh(ad.matmul(inp, ad.transpose(self.store["out.mlp.W1"]))
-                       + self.store["out.mlp.b1"])
-
     # -- pipeline stages ----------------------------------------------------
 
     def encode(self, source_ids: Sequence[int]) -> tuple[Node, Node]:
@@ -226,7 +234,7 @@ class Model:
         if ids.min() < 0 or ids.max() >= cfg.source_vocab:
             raise ad.DomainError(
                 f"source token id outside the vocabulary of size {cfg.source_vocab}")
-        x = ad.gather(self.store["emb_src"], ids)
+        x = ad.slice_(self.store["emb_src"], ids)
         if cfg.skip_scale == 0.0:
             return x, x
         ctx_states = ad.concat(self._bilstm("ctx", x), axis=1)
@@ -248,7 +256,7 @@ class Model:
         slots = self.store["slot_emb"]
         rep = np.repeat(np.arange(n), d)
         tile = np.tile(np.arange(d), n)
-        pairs = ad.gather(prep.embeddings, rep) + ad.gather(slots, tile)
+        pairs = ad.slice_(prep.embeddings, rep) + ad.slice_(slots, tile)
         weights = ad.reshape(ad.transpose(marg, (1, 0, 2)), (length, n * d))
         return ad.matmul(weights, pairs)
 
@@ -266,8 +274,8 @@ class Model:
         span_list = reordering.spans(length)
         left = np.array([i for i, _ in span_list], dtype=np.intp)
         right = np.array([j for _, j in span_list], dtype=np.intp)
-        fdiff = ad.gather(ff, right) - ad.gather(ff, left)
-        bdiff = ad.gather(bb, left) - ad.gather(bb, right)
+        fdiff = ad.slice_(ff, right) - ad.slice_(ff, left)
+        bdiff = ad.slice_(bb, left) - ad.slice_(bb, right)
         feats = ad.concat([fdiff, bdiff], axis=1)
         return reordering.SpanScores(length, self._mlp("span.mlp", feats))
 
@@ -302,7 +310,8 @@ class Model:
             rows = ar_states.shape[0]
             inp = ad.reshape(ad.reshape(prep.context, (1, n, e))
                              + ad.reshape(ar_states, (rows, 1, e)), (rows * n, e))
-        feats = self._decoder_features(inp)
+        feats = ad.tanh(ad.matmul(inp, ad.transpose(self.store["out.mlp.W1"]))
+                        + self.store["out.mlp.b1"])
         proj = ad.reshape(self.store["out.proj"], (d * vocab, cfg.output_mlp))
         logits = ad.reshape(ad.matmul(feats, ad.transpose(proj)), (rows * n, d, vocab))
         probs = ad.softmax(logits, axis=-1)
@@ -324,43 +333,25 @@ class Model:
         weights = ad.transpose(ad.reshape(mixing, (d, n, length, 1)), (0, 2, 1, 3))
         return ad.sum_(weights * token_probs, axis=(0, 2))
 
-    def _ar_project(self, states: Node) -> Node:
-        """Decoder LSTM states (rows, decoder_hidden) in embedding space."""
-        if "ar.proj" in self.store:
-            return ad.matmul(states, ad.transpose(self.store["ar.proj"]))
-        return states
+    def ar_context(self, prev_ids: Sequence[int], state: Node | None = None
+                   ) -> tuple[Node, Node]:
+        """Run the decoder LSTM over prev_ids from state (zeros when omitted).
 
-    def ar_context(self, target_ids: Sequence[int], length: int) -> Node:
-        """Decoder states summarizing y_{<i}; position 0 gets the zero state."""
+        Returns one state row per token, projected to the embedding space
+        (len(prev_ids), e): the row after token t conditions the position
+        after t.  Also returns the packed (len(prev_ids), 2H) LSTM states,
+        whose last row is the state to continue from.
+        """
         cfg = self.config
-        ids = np.asarray(target_ids, dtype=np.intp)
-        if ids.ndim != 1 or ids.shape[0] != length:
-            raise ad.UsageError("teacher forcing needs one target id per position")
-        if ids.min() < 0 or ids.max() >= cfg.target_vocab:
+        ids = np.asarray(prev_ids, dtype=np.intp)
+        if np.any(ids < 0) or np.any(ids >= cfg.target_vocab):
             raise ad.DomainError(
                 f"target token id outside the vocabulary of size {cfg.target_vocab}")
-        states = ad.constant(np.zeros((1, cfg.decoder_hidden)))
-        if length > 1:
-            emb = ad.gather(self.store["emb_tgt"], ids[:-1])
-            states = ad.concat([states, self._hidden(self._lstm("ar", emb))], axis=0)
-        return self._ar_project(states)
-
-    def ar_step(self, token_id: int | None, state: tuple[Node, Node] | None = None
-                ) -> tuple[Node, tuple[Node, Node] | None]:
-        """One incremental decoder step, the row-at-a-time form of ar_context.
-
-        With token_id None this is position 0: the zero state row and no
-        LSTM state.  Otherwise the decoder LSTM advances from state on
-        token_id, the token at the previous position.  Returns the (1, e)
-        state row of the next position and the (h, c) to continue from.
-        """
-        if token_id is None:
-            zero = ad.constant(np.zeros((1, self.config.decoder_hidden)))
-            return self._ar_project(zero), None
-        emb = ad.gather(self.store["emb_tgt"], np.array([token_id], dtype=np.intp))
-        packed = self._lstm("ar", emb, state)
-        c = ad.slice_(packed, (-1, slice(packed.shape[1] // 2, None)))
-        return self._ar_project(self._hidden(packed)), (self._hidden(packed, -1), c)
+        packed = self._lstm("ar", ad.slice_(self.store["emb_tgt"], ids), state)
+        rows = self._hidden(packed)
+        if "ar.proj" in self.store:
+            rows = ad.matmul(rows, ad.transpose(self.store["ar.proj"]))
+        return rows, packed
 
     # -- orchestration ------------------------------------------------------
 
@@ -392,25 +383,31 @@ class Model:
         """Finish the forward pass for one candidate output length.
 
         Returns the Structure and the (length, target_vocab) output rows,
-        each a distribution.  The autoregressive decoder is teacher-forced
-        on target_ids; without them it decodes greedily, one ar_step per
-        position fed the argmax of the row before.
+        each a distribution.  The autoregressive decoder conditions position
+        i on the ids before it, and position 0 on a zero row (ar.proj has no
+        bias, so this is the projection of the zero state).  It is
+        teacher-forced on target_ids; without them it decodes greedily,
+        feeding the argmax of each row to one ar_context step.
         """
         st = self.structure(prep, length)
-        if self.config.decoder != "autoregressive":
-            ar_states = None
-        elif target_ids is not None:
-            ar_states = self.ar_context(target_ids, length)
-        else:
-            rows = []
-            token, state = None, None
-            for pos in range(length):
-                ar_row, state = self.ar_step(token, state)
-                column = ad.slice_(st.mixing, (slice(None), slice(pos, pos + 1)))
-                rows.append(self.output_distributions(
-                    self.token_distributions(prep, ar_row), column))
-                token = int(np.argmax(rows[-1].value[0]))
-            return st, ad.concat(rows, axis=0)
+        ar_states = None
+        if self.config.decoder == "autoregressive":
+            zero = ad.constant(np.zeros((1, self.config.embedding_dim)))
+            if target_ids is None:
+                rows, ar_row, state = [], zero, None
+                for pos in range(length):
+                    if rows:
+                        token = int(np.argmax(rows[-1].value[0]))
+                        ar_row, packed = self.ar_context([token], state)
+                        state = ad.slice_(packed, -1)
+                    column = ad.slice_(st.mixing, (slice(None), slice(pos, pos + 1)))
+                    rows.append(self.output_distributions(
+                        self.token_distributions(prep, ar_row), column))
+                return st, ad.concat(rows, axis=0)
+            ids = np.asarray(target_ids, dtype=np.intp)
+            if ids.shape != (length,):
+                raise ad.UsageError("teacher forcing needs one target id per position")
+            ar_states = ad.concat([zero, self.ar_context(ids[:-1])[0]], axis=0)
         token_probs = self.token_distributions(prep, ar_states)
         return st, self.output_distributions(token_probs, st.mixing)
 

@@ -44,16 +44,6 @@ class SpanScores:
                 f"got {self.scores.value.shape}")
 
 
-def _per_width_scores(scores: np.ndarray, length: int) -> list[np.ndarray | None]:
-    out: list[np.ndarray | None] = [None, None]
-    offset = 0
-    for w in range(2, length + 1):
-        n_w = length - w + 1
-        out.append(scores[offset:offset + n_w])
-        offset += n_w
-    return out
-
-
 def _chart_posteriors(scores: np.ndarray, length: int):
     """Inside values plus factorized posteriors, all per width.
 
@@ -61,20 +51,21 @@ def _chart_posteriors(scores: np.ndarray, length: int):
     (straight, inverted) posterior and ps[w][c-1][i] the posterior of its
     split at i+c.
     """
-    sc = _per_width_scores(scores, length)
+    orient_lse, orient_post = ad.lse_softmax(scores, axis=1)
     zw: list[np.ndarray | None] = [None, np.zeros(length)]
     po: list[np.ndarray | None] = [None, None]
     ps: list[np.ndarray | None] = [None, None]
+    offset = 0
     for w in range(2, length + 1):
         n_w = length - w + 1
         t = np.empty((w - 1, n_w))
         for c in range(1, w):
             t[c - 1] = zw[c][:n_w] + zw[w - c][c:c + n_w]
         a, split_post = ad.lse_softmax(t, axis=0)
-        b, orient_post = ad.lse_softmax(sc[w], axis=1)
-        zw.append(a[0] + b[:, 0])
-        po.append(orient_post)
+        zw.append(a[0] + orient_lse[offset:offset + n_w, 0])
+        po.append(orient_post[offset:offset + n_w])
         ps.append(split_post)
+        offset += n_w
     return zw, po, ps
 
 

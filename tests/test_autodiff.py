@@ -83,7 +83,7 @@ class TestForwardValues:
         out = ad.lstm(ad.constant(x), ad.constant(w), ad.constant(b)).value
         np.testing.assert_allclose(out, lstm_per_step(x, w, b), rtol=0, atol=1e-12)
         out = ad.lstm(ad.constant(x), ad.constant(w), ad.constant(b),
-                      (ad.constant(h0), ad.constant(c0))).value
+                      ad.constant(np.concatenate([h0, c0]))).value
         np.testing.assert_allclose(out, lstm_per_step(x, w, b, h0, c0),
                                    rtol=0, atol=1e-12)
 
@@ -93,14 +93,28 @@ class TestForwardValues:
         x, w, b = rng.normal(size=(81, 3)), rng.normal(size=(16, 7)), rng.normal(size=16)
         scale = 40.0 / np.abs(x @ w[:, :3].T + b).max()
         w, b = w * scale, b * scale
-        h0, c0 = ad.parameter(rng.normal(size=4)), ad.parameter(rng.normal(size=4))
+        state = ad.parameter(rng.normal(size=8))
         nodes = [ad.parameter(a) for a in (x, w, b)]
-        out = ad.lstm(*nodes, (h0, c0))
-        np.testing.assert_allclose(out.value, lstm_per_step(x, w, b, h0.value, c0.value),
-                                   rtol=0, atol=1e-12)
+        out = ad.lstm(*nodes, state)
+        np.testing.assert_allclose(
+            out.value, lstm_per_step(x, w, b, state.value[:4], state.value[4:]),
+            rtol=0, atol=1e-12)
         ad.backward(ad.sum_(out * ad.constant(rng.normal(size=out.shape))))
-        for node in nodes + [h0, c0]:
+        for node in nodes + [state]:
             assert node.grad is not None and np.isfinite(node.grad).all()
+
+    def test_lstm_over_no_rows_is_empty_with_zero_gradients(self):
+        # teacher forcing at output length 1 runs the decoder over no tokens
+        rng = np.random.default_rng(6)
+        nodes = [ad.parameter(a) for a in
+                 (np.zeros((0, 3)), rng.normal(size=(16, 7)), rng.normal(size=16),
+                  rng.normal(size=8))]
+        out = ad.lstm(*nodes)
+        assert out.shape == (0, 8)
+        ad.backward(ad.sum_(out))
+        for node in nodes:
+            assert node.grad.shape == node.shape
+            np.testing.assert_array_equal(node.grad, 0.0)
 
 
 class TestBackward:
@@ -147,7 +161,7 @@ class TestBackward:
         assert checks.run_case("mlp", build, [w1, b1, w2, x], tol=1e-5).ok
 
     def test_lstm_rows_one_call_at_a_time_equal_one_call(self):
-        # the incremental decoder feeds one row per call, carrying (h, c)
+        # the incremental decoder feeds one row per call, carrying [h; c]
         rng = np.random.default_rng(4)
         arrays = [rng.normal(size=(6, 3)), rng.normal(size=(16, 7)), rng.normal(size=16)]
         upstream = rng.normal(size=(6, 8))
@@ -160,8 +174,7 @@ class TestBackward:
                 rows, state = [], None
                 for t in range(6):
                     packed = ad.lstm(ad.slice_(x, slice(t, t + 1)), w, b, state)
-                    state = (ad.slice_(packed, (0, slice(0, 4))),
-                             ad.slice_(packed, (0, slice(4, None))))
+                    state = ad.slice_(packed, -1)
                     rows.append(packed)
                 out = ad.concat(rows, axis=0)
             ad.backward(ad.sum_(out * ad.constant(upstream)))
@@ -216,15 +229,10 @@ class TestPerOpGradients:
             "slice", lambda ns: ad.sum_(ad.mul(ad.slice_(ns[0], slice(None, None, -1)),
                                                ad.constant(w))), [a], tol=1e-5).ok
 
-    def test_gather_repeated_indices_accumulate(self):
+    def test_slice_repeated_rows_accumulate(self):
         a = ad.parameter(np.array([1.0, 2.0]))
-        ad.backward(ad.sum_(ad.gather(a, np.array([0, 0, 1]))))
+        ad.backward(ad.sum_(ad.slice_(a, np.array([0, 0, 1]))))
         np.testing.assert_allclose(a.grad, [2.0, 1.0])
-
-    def test_gather_range_check(self):
-        a = ad.constant(np.zeros(3))
-        with pytest.raises(ad.DomainError, match="gather"):
-            ad.gather(a, np.array([0, 3]))
 
     def test_log_domain_check(self):
         with pytest.raises(ad.DomainError, match="log"):

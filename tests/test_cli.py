@@ -360,6 +360,35 @@ class TestFileErrors:
             f"come from the training data\n")
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("model", "embedding_dim", 2.5, "embedding_dim must be an integer, got 2.5"),
+        ("training", "epochs", 1.5, "epochs must be an integer, got 1.5"),
+        ("training", "seed", 0.5, "seed must be an integer, got 0.5"),
+        ("model", "max_fertility", True, "max_fertility must be an integer, got true"),
+    ])
+    def test_config_value_of_the_wrong_json_type_names_the_file(
+            self, tmp_path, corpus, capsys, section, key, value, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, section: {
+            **TINY_CONFIG[section], key: value}}), encoding="utf-8")
+        assert main(["train", "--config", str(config), "--data", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("raw", [
+        {"model": [["embedding_dim", 4]], "training": []},
+        {"model": {}, "training": "epochs"},
+    ])
+    def test_config_section_that_is_not_an_object_names_the_file(
+            self, tmp_path, corpus, capsys, raw):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["train", "--config", str(config), "--data", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: config section ")
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_malformed_meta_json_names_the_file(self, tmp_path, corpus, trained,
                                                 capsys):
         _, ckpt = trained
@@ -382,6 +411,8 @@ class TestFileErrors:
                      "key 'model': embedding_dim must be at least 1", id="bad-value"),
         pytest.param(lambda m: {**m, "model": {**m["model"], "bogus": 1}},
                      "key 'model': unknown ModelConfig keys: bogus", id="unknown-key"),
+        pytest.param(lambda m: {**m, "model": {**m["model"], "seed": 0.5}},
+                     "key 'model': seed must be an integer, got 0.5", id="float-seed"),
         pytest.param(lambda m: {**m, "target_vocab": m["target_vocab"][:1]},
                      "key 'target_vocab': token count 1 differs from the model config's 3",
                      id="vocab-size"),

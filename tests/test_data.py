@@ -134,6 +134,7 @@ class TestJsonl:
         '{"source": 5, "target": ["a"]}',
         '{"source": ["a"], "target": null}',
         '{"source": [["a"]], "target": ["a"]}',
+        '{"source": [true, "a"], "target": ["a"]}',
         '["a", "b"]',
     ])
     def test_field_that_is_not_an_array_reports_line(self, tmp_path, line):

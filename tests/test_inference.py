@@ -240,6 +240,7 @@ class TestPredictAutoregressive:
         with ad.no_grad():
             _, probs = m.complete(m.prepare([1]), 1, np.array([0], dtype=np.intp))
         assert got.tokens == [int(np.argmax(probs.value[0]))]
+        np.testing.assert_array_equal(got.distributions, probs.value)
 
     def test_sharp_model_matches_exhaustive_search(self):
         m = self.ar_model(seed=5, sharp=True)

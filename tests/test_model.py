@@ -230,7 +230,7 @@ class TestAutoregressiveDecoder:
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))
         _, probs = m.transduce([0, 1], 3, target_ids=[2, 0, 5])
         np.testing.assert_allclose(probs.value.sum(axis=1), 1.0, atol=1e-6)
-        token_probs = m.token_distributions(m.prepare([0, 1]), m.ar_context([2, 0, 5], 3))
+        token_probs = m.token_distributions(m.prepare([0, 1]), m.ar_context([2, 0, 5])[0])
         assert token_probs.shape == (2, 3, 2, 6)  # (d, rows, n, V), one row per state
 
     def test_prefix_alone_determines_each_row(self):
@@ -245,11 +245,11 @@ class TestAutoregressiveDecoder:
 
     def test_wrong_target_length_rejected(self):
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))
-        with pytest.raises(ad.UsageError):
-            m.ar_context([0, 1], 3)
+        with pytest.raises(ad.UsageError, match="one target id per position"):
+            m.transduce([0, 1], 3, target_ids=[0, 1])
 
     def test_out_of_vocabulary_target_rejected(self):
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))
         with pytest.raises(ad.DomainError):
-            m.ar_context([0, 6, 1], 3)
+            m.ar_context([0, 6, 1])
 
