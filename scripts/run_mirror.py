@@ -7,9 +7,10 @@ Example:
         --seeds 0 1 2 --data-seed 1
 
 Prints one row per seed (best dev exact match, test exact match with its
-misses by cause, wall time) and the across-seed medians.  The config file
-is read as `structran train` reads it.  Models and metrics land under
---out-dir when given; nothing is written otherwise.
+misses by cause, wall time) and the across-seed medians.  Each seed trains
+as `structran train` does, from any config it accepts; with --out-dir its
+files land there as seedN.ckpt, seedN.ckpt.meta.json and
+seedN.ckpt.metrics.jsonl, which `structran predict` loads.
 """
 import argparse
 import statistics
@@ -20,34 +21,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from structran import data, training
-from structran.cli import build_model, load_config_file
-from structran.model import ModelConfig
-
-
-def run_seed(seed, splits, model_raw, train_raw, out_dir):
-    source_vocab, target_vocab = data.build_vocabularies(splits["train"])
-    encode = lambda name: data.encode_examples(splits[name], source_vocab,
-                                               target_vocab)
-    model_cfg = ModelConfig.from_dict({**model_raw,
-                                       "source_vocab": len(source_vocab),
-                                       "target_vocab": len(target_vocab),
-                                       "seed": seed})
-    train_cfg = training.TrainConfig.from_dict({**train_raw, "seed": seed})
-    model = build_model(model_cfg, source_vocab, target_vocab)
-    metrics_path = out_dir / f"seed{seed}.metrics.jsonl" if out_dir else None
-    started = time.perf_counter()
-    result = training.train(model, encode("train"), encode("dev"), train_cfg,
-                            metrics_path=metrics_path)
-    test = training.exact_match(model, encode("test"))
-    wall = time.perf_counter() - started
-    if out_dir:
-        model.store.save(out_dir / f"seed{seed}.ckpt")
-    return result.best_dev, test, wall
+from structran.cli import load_config_file, train_checkpoint
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--setup", choices=["A", "B"], required=True)
+    parser.add_argument("--setup", choices=list(data.MIRROR_SETUPS), required=True)
     parser.add_argument("--config", required=True, help="JSON model/training config")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--data-seed", type=int, default=1)
@@ -55,23 +34,24 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     model_raw, train_raw = load_config_file(args.config)
-    generator = {"A": data.generate_mirror_A, "B": data.generate_mirror_B}
-    splits = generator[args.setup](args.data_seed)
-
-    out_dir = None
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    splits = data.MIRROR_SETUPS[args.setup](args.data_seed)
 
     devs, tests = [], []
     print(f"setup {args.setup}, data seed {args.data_seed}, "
           f"config {args.config}")
     for seed in args.seeds:
-        dev, test, wall = run_seed(seed, splits, model_raw, train_raw, out_dir)
-        devs.append(dev)
+        started = time.perf_counter()
+        model, source_vocab, target_vocab, result = train_checkpoint(
+            splits["train"], splits["dev"], {**model_raw, "seed": seed},
+            {**train_raw, "seed": seed},
+            Path(args.out_dir) / f"seed{seed}.ckpt" if args.out_dir else None)
+        test = training.exact_match(model, data.encode_examples(
+            splits["test"], source_vocab, target_vocab))
+        wall = time.perf_counter() - started
+        devs.append(result.best_dev)
         tests.append(test.rate)
         misses = ", ".join(f"{k} {v}" for k, v in test.misses().items())
-        print(f"seed {seed}: dev {dev:.3f}  test {test.rate:.3f} "
+        print(f"seed {seed}: dev {result.best_dev:.3f}  test {test.rate:.3f} "
               f"(misses: {misses})  ({wall:.0f}s)")
     print(f"median over {len(args.seeds)} seeds: "
           f"dev {statistics.median(devs):.3f}  "

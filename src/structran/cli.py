@@ -36,9 +36,7 @@ def _sha256(path) -> str:
 def cmd_generate_data(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    generator = {"A": data.generate_mirror_A, "B": data.generate_mirror_B}[args.setup]
-    splits = generator(args.seed)
-    for name, examples in splits.items():
+    for name, examples in data.MIRROR_SETUPS[args.setup](args.seed).items():
         data.write_jsonl(out / f"{name}.jsonl", examples)
         print(f"wrote {len(examples)} examples to {out / f'{name}.jsonl'}")
     return 0
@@ -79,38 +77,49 @@ def build_model(config: ModelConfig, source_vocab: data.Vocabulary,
     return Model(config, copy_ids=copy_ids)
 
 
-def cmd_train(args) -> int:
-    model_raw, train_raw = load_config_file(args.config)
-    data_dir = Path(args.data)
-    train_examples = data.read_jsonl(data_dir / "train.jsonl")
-    dev_examples = data.read_jsonl(data_dir / "dev.jsonl")
+def train_checkpoint(train_examples, dev_examples, model_raw: dict,
+                     train_raw: dict, ckpt=None, log=None):
+    """(model, source_vocab, target_vocab, training.TrainResult) of a fresh
+    model trained on Examples, its vocabularies taken from train_examples.
+    With a checkpoint path CKPT, writes CKPT, CKPT.meta.json and
+    CKPT.metrics.jsonl."""
     source_vocab, target_vocab = data.build_vocabularies(train_examples)
     model_config = ModelConfig.from_dict({**model_raw,
                                           "source_vocab": len(source_vocab),
                                           "target_vocab": len(target_vocab)})
     train_config = training.TrainConfig.from_dict(train_raw)
     model = build_model(model_config, source_vocab, target_vocab)
-    train_pairs = data.encode_examples(train_examples, source_vocab, target_vocab)
-    dev_pairs = data.encode_examples(dev_examples, source_vocab, target_vocab)
-    ckpt = Path(args.out)
-    if ckpt.parent != Path(""):
-        ckpt.parent.mkdir(parents=True, exist_ok=True)
-    result = training.train(model, train_pairs, dev_pairs, train_config,
-                            metrics_path=f"{ckpt}.metrics.jsonl", log=print)
-    model.store.save(ckpt)
-    meta = {
-        "model": model_config.to_dict(),
-        "training": train_config.to_dict(),
-        "source_vocab": source_vocab.id_to_token,
-        "target_vocab": target_vocab.id_to_token,
-        "best_dev": result.best_dev,
-        "best_epoch": result.best_epoch,
-        "checkpoint_sha256": _sha256(ckpt),
-    }
-    with atomic_open(f"{ckpt}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
+    train_pairs, dev_pairs = (data.encode_examples(examples, source_vocab, target_vocab)
+                              for examples in (train_examples, dev_examples))
+    if ckpt is not None:
+        Path(ckpt).parent.mkdir(parents=True, exist_ok=True)
+    result = training.train(
+        model, train_pairs, dev_pairs, train_config, log=log,
+        metrics_path=None if ckpt is None else f"{ckpt}.metrics.jsonl")
+    if ckpt is not None:
+        model.store.save(ckpt)
+        meta = {
+            "model": model_config.to_dict(),
+            "training": train_config.to_dict(),
+            "source_vocab": source_vocab.id_to_token,
+            "target_vocab": target_vocab.id_to_token,
+            "best_dev": result.best_dev,
+            "best_epoch": result.best_epoch,
+            "checkpoint_sha256": _sha256(ckpt),
+        }
+        with atomic_open(f"{ckpt}.meta.json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2)
+    return model, source_vocab, target_vocab, result
+
+
+def cmd_train(args) -> int:
+    model_raw, train_raw = load_config_file(args.config)
+    train_examples, dev_examples = (data.read_jsonl(Path(args.data) / f"{split}.jsonl")
+                                    for split in ("train", "dev"))
+    *_, result = train_checkpoint(train_examples, dev_examples, model_raw,
+                                  train_raw, args.out, log=print)
     print(f"best dev exact match {result.best_dev:.4f} "
-          f"at epoch {result.best_epoch}; checkpoint {ckpt}")
+          f"at epoch {result.best_epoch}; checkpoint {args.out}")
     return 0
 
 
@@ -176,7 +185,13 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     predictions = [tokens for _, tokens in data.read_fields(args.pred, "tokens")]
     references = [target for _, target in data.read_fields(args.gold, "target")]
-    print(json.dumps({"exact_match": data.exact_match(predictions, references)}))
+    if len(predictions) != len(references):
+        raise data.DatasetError(f"prediction/reference count mismatch: "
+                                f"{len(predictions)} vs {len(references)}")
+    tally = training.ExactMatch()
+    for predicted, reference in zip(predictions, references):
+        tally.add(predicted, reference)
+    print(json.dumps({"exact_match": tally.rate, "misses": tally.misses()}))
     return 0
 
 
@@ -226,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-data", help="write mirror-task JSONL splits")
-    p.add_argument("--setup", choices=["A", "B"], required=True)
+    p.add_argument("--setup", choices=list(data.MIRROR_SETUPS), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_generate_data)

@@ -1,4 +1,4 @@
-"""Synthetic mirror datasets, JSONL I/O, vocabularies, exact match.
+"""Synthetic mirror datasets, JSONL I/O, vocabularies.
 
 The mirror task maps a source string w to w followed by reversed w.
 Setup A uses a flat 11-symbol alphabet with train, dev, and test lengths
@@ -91,6 +91,10 @@ def generate_mirror_B(seed: int) -> dict[str, list[Example]]:
         if has_free_cluster_symbol(source):
             splits["test"].append(Example(source, mirror_target(source)))
     return splits
+
+
+# the generator of each mirror setup, by the name the command line takes
+MIRROR_SETUPS = {"A": generate_mirror_A, "B": generate_mirror_B}
 
 
 def write_jsonl(path, examples: Iterable[Example]) -> None:
@@ -189,14 +193,3 @@ def encode_examples(examples: Sequence[Example], source_vocab: Vocabulary,
                     target_vocab: Vocabulary) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(source_vocab.encode(ex.source), target_vocab.encode(ex.target))
             for ex in examples]
-
-
-def exact_match(predictions: Sequence[Sequence[str]],
-                references: Sequence[Sequence[str]]) -> float:
-    if len(predictions) != len(references):
-        raise DatasetError(
-            f"prediction/reference count mismatch: {len(predictions)} vs {len(references)}")
-    if not references:
-        return 0.0
-    hits = sum(1 for p, r in zip(predictions, references) if list(p) == list(r))
-    return hits / len(references)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .grammar import Grammar
+from .grammar import Grammar, GrammarError
 from .model import Model
 
 
@@ -56,7 +56,8 @@ def viterbi_cyk(distributions: np.ndarray, alphabet: Sequence[str],
     distributions holds one probability row per output position over the
     alphabet columns.  Binary rules carry weight one; only lexical
     choices are scored.  Raises NoParseError when the start symbol does
-    not derive a string of this length.
+    not derive a string of this length, and GrammarError for a lexical
+    rule whose terminal is not in the alphabet.
     """
     dist = np.asarray(distributions)
     length = dist.shape[0]
@@ -69,7 +70,8 @@ def viterbi_cyk(distributions: np.ndarray, alphabet: Sequence[str],
     for a, term in grammar.lexical:
         idx = col.get(term)
         if idx is None:
-            continue
+            raise GrammarError(f"rule {a} -> '{term}': terminal not in the alphabet",
+                               (a, term))
         row = chart[a]
         for i in range(length):
             if logd[i, idx] > row[i, i]:

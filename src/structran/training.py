@@ -16,7 +16,7 @@ import json
 import random
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,12 +215,30 @@ def clip_gradients(store: ad.ParameterStore, max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 # training loop
 
+def train_step(model: Model, optimizer: Adam, config: TrainConfig, source_ids,
+               target_ids, guidance, *, epoch: int,
+               index: int) -> tuple[dict[str, float], float]:
+    """One Adam update on one example; returns its "train_loss" and
+    unweighted LOSS_TERMS, and the global gradient norm before clipping.
+    A non-finite loss raises TrainingError, naming the epoch and the
+    example, before any backward pass."""
+    model.store.zero_grads()
+    loss, terms = example_loss(model, source_ids, target_ids, config,
+                               guidance, index=index)
+    value = float(loss.value)
+    if not np.isfinite(value):
+        raise TrainingError(f"non-finite loss at epoch {epoch}, example {index}")
+    ad.backward(loss)
+    norm = clip_gradients(model.store, config.clip_norm)
+    optimizer.step()
+    return {"train_loss": value, **terms}, norm
+
+
 @dataclass
 class TrainResult:
     best_dev: float
     best_epoch: int
     metrics: list[dict]
-    final_state: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
 
 
 @dataclass
@@ -231,6 +249,17 @@ class ExactMatch:
     length: int = 0        # decoded to the wrong length
     tokens: int = 0        # right length, wrong tokens
     no_candidate: int = 0  # InferenceError: no feasible length or no parse
+
+    def add(self, predicted, reference) -> None:
+        """Count one output; predicted is None for a source with no candidate."""
+        if predicted is None:
+            self.no_candidate += 1
+        elif len(predicted) != len(reference):
+            self.length += 1
+        elif list(predicted) == list(reference):
+            self.hits += 1
+        else:
+            self.tokens += 1
 
     @property
     def rate(self) -> float:
@@ -247,16 +276,10 @@ def exact_match(model: Model, pairs) -> ExactMatch:
     tally = ExactMatch()
     for src, tgt in pairs:
         try:
-            result = inference.decode(model, src)
+            tokens = inference.decode(model, src).tokens
         except inference.InferenceError:
-            tally.no_candidate += 1
-            continue
-        if result.length != len(tgt):
-            tally.length += 1
-        elif np.array_equal(result.tokens, tgt):
-            tally.hits += 1
-        else:
-            tally.tokens += 1
+            tokens = None
+        tally.add(tokens, tgt)
     return tally
 
 
@@ -279,8 +302,7 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
             for src, tgt in train_pairs
         ]
     order = list(range(len(train_pairs)))
-    best_dev = -1.0
-    best_epoch = -1
+    best_dev, best_epoch = -1.0, -1
     best_state: dict[str, np.ndarray] = {}
     metrics: list[dict] = []
     # the records stream to PATH.tmp, which replaces PATH only when
@@ -290,35 +312,23 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
         for epoch in range(config.epochs):
             started = time.perf_counter()
             rng.shuffle(order)
-            total = 0.0
-            term_totals = dict.fromkeys(LOSS_TERMS, 0.0)
+            sums = dict.fromkeys(("train_loss",) + LOSS_TERMS, 0.0)
             grad_norms = []
             guided = epoch < config.guidance_epochs
             for idx in order:
-                src, tgt = train_pairs[idx]
-                model.store.zero_grads()
-                loss, terms = example_loss(model, src, tgt, config,
-                                           guidance_sets[idx] if guided else None,
-                                           index=idx)
-                value = float(loss.value)
-                if not np.isfinite(value):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, example {idx}")
-                ad.backward(loss)
-                grad_norms.append(clip_gradients(model.store, config.clip_norm))
-                optimizer.step()
-                total += value
-                for key in LOSS_TERMS:
-                    term_totals[key] += terms[key]
+                losses, norm = train_step(
+                    model, optimizer, config, *train_pairs[idx],
+                    guidance_sets[idx] if guided else None, epoch=epoch, index=idx)
+                grad_norms.append(norm)
+                for key, value in losses.items():
+                    sums[key] += value
             dev = exact_match(model, dev_pairs)
-            dev_em = dev.rate
             steps = max(len(train_pairs), 1)
             entry = {
                 "epoch": epoch,
-                "train_loss": total / steps,
-                # unweighted means of the loss terms (see example_loss)
-                **{key: term_totals[key] / steps for key in LOSS_TERMS},
-                "dev_exact_match": dev_em,
+                # the mean loss and the unweighted means of its terms (see example_loss)
+                **{key: total / steps for key, total in sums.items()},
+                "dev_exact_match": dev.rate,
                 "dev_misses": dev.misses(),
                 # global gradient norm before clipping, over the epoch's steps
                 "grad_norm_mean": sum(grad_norms) / max(len(grad_norms), 1),
@@ -331,14 +341,13 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
                 metrics_file.flush()
             if log:
                 log(f"epoch {epoch}: loss {entry['train_loss']:.4f} "
-                    f"dev {dev_em:.3f} ({entry['wall_ms']:.0f} ms)")
-            if dev_em > best_dev:
-                best_dev = dev_em
-                best_epoch = epoch
+                    f"dev {dev.rate:.3f} ({entry['wall_ms']:.0f} ms)")
+            if dev.rate > best_dev:
+                best_dev, best_epoch = dev.rate, epoch
                 best_state = model.store.state_arrays()
             if (config.stop_exact_match is not None
-                    and dev_em >= config.stop_exact_match):
+                    and dev.rate >= config.stop_exact_match):
                 break
     if best_state:
         model.store.load_state_arrays(best_state)
-    return TrainResult(best_dev, best_epoch, metrics, model.store.state_arrays())
+    return TrainResult(best_dev, best_epoch, metrics)

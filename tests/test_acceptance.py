@@ -5,7 +5,6 @@ per-test PASSED/FAILED markers carry the same information.  Training
 fixtures are module-scoped and shared, so the file costs roughly seven
 small training runs plus the gradient suite.
 """
-import json
 import math
 import random
 import statistics
@@ -17,7 +16,8 @@ import numpy as np
 import pytest
 
 from structran import autodiff as ad
-from structran import checks, data, fertility, inference, oracles, training
+from structran import checks, data, inference, oracles, training
+from structran.cli import load_config_file, train_checkpoint
 from structran.grammar import GrammarError, parse_grammar
 from structran.model import Model, ModelConfig
 
@@ -32,24 +32,15 @@ def verdict(criterion, ok, detail):
     assert ok, line
 
 
-def load_config(name):
-    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
-    return raw["model"], raw["training"]
-
-
-def train_run(splits, config_name, seed):
-    model_raw, train_raw = load_config(config_name)
-    source_vocab, target_vocab = data.build_vocabularies(splits["train"])
-    encode = lambda name: data.encode_examples(splits[name], source_vocab,
-                                               target_vocab)
-    model = Model(ModelConfig.from_dict({**model_raw,
-                                         "source_vocab": len(source_vocab),
-                                         "target_vocab": len(target_vocab),
-                                         "seed": seed}))
-    train_cfg = training.TrainConfig.from_dict({**train_raw, "seed": seed})
+def scored_run(splits, config_name, seed):
+    """The shared training run (cli.train_checkpoint) on one config and
+    seed, scored on the test split."""
+    model_raw, train_raw = load_config_file(CONFIG_DIR / config_name)
     started = time.perf_counter()
-    result = training.train(model, encode("train"), encode("dev"), train_cfg)
-    test_pairs = encode("test")
+    model, source_vocab, target_vocab, result = train_checkpoint(
+        splits["train"], splits["dev"], {**model_raw, "seed": seed},
+        {**train_raw, "seed": seed})
+    test_pairs = data.encode_examples(splits["test"], source_vocab, target_vocab)
     test_em = training.exact_match(model, test_pairs).rate
     return SimpleNamespace(model=model, best_dev=result.best_dev,
                            test_em=test_em, test_pairs=test_pairs,
@@ -60,19 +51,19 @@ def train_run(splits, config_name, seed):
 @pytest.fixture(scope="module")
 def mirror_a_runs():
     splits = data.generate_mirror_A(DATA_SEED)
-    return [train_run(splits, "mirror_a.json", seed) for seed in SEEDS]
+    return [scored_run(splits, "mirror_a.json", seed) for seed in SEEDS]
 
 
 @pytest.fixture(scope="module")
 def mirror_b_runs():
     splits = data.generate_mirror_B(DATA_SEED)
-    return [train_run(splits, "mirror_b.json", seed) for seed in SEEDS]
+    return [scored_run(splits, "mirror_b.json", seed) for seed in SEEDS]
 
 
 @pytest.fixture(scope="module")
 def reorder_first_run():
     splits = data.generate_mirror_A(DATA_SEED)
-    return train_run(splits, "mirror_a_reorder_first.json", SEEDS[0])
+    return scored_run(splits, "mirror_a_reorder_first.json", SEEDS[0])
 
 
 def test_criterion_1_fertility_matches_enumeration():

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from structran import checks, training
-from structran.cli import load_checkpoint, main
+from structran import checks, data, training
+from structran.cli import load_checkpoint, main, train_checkpoint
 
 MIRRORS = [(["a", "b"], ["a", "b", "b", "a"]),
            (["b", "c"], ["b", "c", "c", "b"]),
@@ -66,7 +66,9 @@ class TestEvaluate:
         write_jsonl(pred, [{"tokens": t} for _, t in MIRRORS])
         write_jsonl(gold, [{"target": t} for _, t in MIRRORS])
         assert main(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 0
-        assert json.loads(capsys.readouterr().out) == {"exact_match": 1.0}
+        assert json.loads(capsys.readouterr().out) == {
+            "exact_match": 1.0,
+            "misses": {"length": 0, "tokens": 0, "no_candidate": 0}}
 
     def test_partial_match_fraction(self, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"
@@ -74,7 +76,21 @@ class TestEvaluate:
         write_jsonl(pred, [{"tokens": ["a"]}, {"tokens": ["b"]}])
         write_jsonl(gold, [{"target": ["a"]}, {"target": ["x"]}])
         main(["evaluate", "--pred", str(pred), "--gold", str(gold)])
-        assert json.loads(capsys.readouterr().out) == {"exact_match": 0.5}
+        assert json.loads(capsys.readouterr().out) == {
+            "exact_match": 0.5,
+            "misses": {"length": 0, "tokens": 1, "no_candidate": 0}}
+
+    def test_misses_split_by_cause(self, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(pred, [{"tokens": ["a", "b"]}, {"tokens": ["a", "b", "b"]},
+                           {"tokens": ["b", "a"]}, {"tokens": ["c"]}])
+        write_jsonl(gold, [{"target": ["a", "b"]}, {"target": ["a", "b"]},
+                           {"target": ["a", "b"]}, {"target": ["c"]}])
+        assert main(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "exact_match": 0.5,
+            "misses": {"length": 1, "tokens": 1, "no_candidate": 0}}
 
     def test_count_mismatch_is_an_error(self, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"
@@ -82,7 +98,8 @@ class TestEvaluate:
         write_jsonl(pred, [{"tokens": ["a"]}])
         write_jsonl(gold, [{"target": ["a"]}, {"target": ["b"]}])
         assert main(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "count mismatch: 1 vs 2" in err
 
 
 class TestTrainPredict:
@@ -139,6 +156,18 @@ class TestTrainPredict:
         assert rc == 0
         row = json.loads(out.read_text().splitlines()[0])
         assert set(row["tokens"]) <= {"a", "b", "c"}
+
+    def test_shared_run_without_a_checkpoint_writes_nothing(self, tmp_path,
+                                                            corpus, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        model, source_vocab, target_vocab, result = train_checkpoint(
+            data.read_jsonl(corpus / "train.jsonl"),
+            data.read_jsonl(corpus / "dev.jsonl"),
+            TINY_CONFIG["model"], TINY_CONFIG["training"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+        assert len(result.metrics) == TINY_CONFIG["training"]["epochs"]
+        assert (model.config.source_vocab, model.config.target_vocab) == (
+            len(source_vocab), len(target_vocab)) == (3, 3)
 
     def test_unknown_model_key_fails_loudly(self, tmp_path, corpus, capsys):
         config = tmp_path / "config.json"

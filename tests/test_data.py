@@ -198,20 +198,3 @@ class TestVocabulary:
             assert tgt.shape == (len(e.target),)
             assert svoc.decode(src) == e.source
 
-
-class TestExactMatch:
-    def test_identical(self):
-        seqs = [list("ab"), list("cd")]
-        assert data.exact_match(seqs, seqs) == 1.0
-
-    def test_disjoint(self):
-        assert data.exact_match([list("ab")], [list("ba")]) == 0.0
-
-    def test_three_of_four(self):
-        gold = [list("a"), list("b"), list("c"), list("d")]
-        pred = [list("a"), list("b"), list("c"), list("x")]
-        assert data.exact_match(pred, gold) == 0.75
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(data.DatasetError):
-            data.exact_match([list("a")], [list("a"), list("b")])

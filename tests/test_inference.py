@@ -173,9 +173,14 @@ class TestViterbiCyk:
         assert checked >= 15  # the sampler must exercise real parses
 
     def test_unknown_terminals_never_fill_the_chart(self):
-        g = parse_grammar("%start S\nS -> 'z'\n")
-        with pytest.raises(NoParseError):
-            viterbi_cyk(np.array([[1.0]]), ["a"], g)
+        # a rule outside the alphabet is an error, never a silently
+        # dropped rule (and not a NoParseError, which decode would skip)
+        g = parse_grammar("%start S\nS -> A A\nA -> 'a'\nA -> 'zz'\n")
+        with pytest.raises(GrammarError, match="A -> 'zz'") as exc:
+            viterbi_cyk(np.full((2, 1), 1.0), ["a"], g)
+        assert exc.value.rule == ("A", "zz")
+        with pytest.raises(GrammarError, match="A -> 'zz'"):
+            decode(small_model(), [0], grammar=g, target_vocab=target_vocab())
 
 
 class TestPredictGrammar:
@@ -220,7 +225,9 @@ class TestPredictGrammar:
 
     def test_error_lists_the_attempted_lengths(self):
         m = small_model()
-        g = parse_grammar("%start S\nS -> 'zz'\n")  # terminal outside the vocab
+        # in the vocabulary, but every string it derives has length 3,
+        # past the 2 copies a one-token source can reach
+        g = parse_grammar("%start S\nS -> A B\nB -> A A\nA -> 'a'\n")
         with pytest.raises(InferenceError, match=r"attempted \[1(, \d)*\]"):
             decode(m, [0], k=10, grammar=g, target_vocab=target_vocab())
 

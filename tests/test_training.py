@@ -256,7 +256,7 @@ class TestTrainLoop:
         m = tiny_model()
         m.store["emb_src"].value[0, 0] = float("nan")
         cfg = training.TrainConfig(lambda_guidance=0.0, epochs=2)
-        with pytest.raises(training.TrainingError, match="epoch 0"):
+        with pytest.raises(training.TrainingError, match=r"epoch 0, example \d"):
             training.train(m, self._pairs(), [], cfg)
 
     def test_metrics_file_mirrors_the_returned_log(self, tmp_path):
@@ -346,6 +346,29 @@ class TestTrainLoop:
                                    guidance_epochs=1, epochs=2, seed=2)
         res = training.train(m, self._pairs(), [], cfg)
         assert all(np.isfinite(e["train_loss"]) for e in res.metrics)
+
+
+class TestExactMatch:
+    @staticmethod
+    def tally(predictions, references):
+        tally = training.ExactMatch()
+        for predicted, reference in zip(predictions, references):
+            tally.add(predicted, reference)
+        return tally
+
+    def test_identical(self):
+        seqs = [list("ab"), list("cd")]
+        assert self.tally(seqs, seqs).rate == 1.0
+
+    def test_disjoint(self):
+        tally = self.tally([list("ab")], [list("ba")])
+        assert tally.rate == 0.0
+        assert tally.misses() == {"length": 0, "tokens": 1, "no_candidate": 0}
+
+    def test_three_of_four(self):
+        gold = [list("a"), list("b"), list("c"), list("d")]
+        pred = [list("a"), list("b"), list("c"), list("x")]
+        assert self.tally(pred, gold).rate == 0.75
 
 
 class TestConfigValidation:
