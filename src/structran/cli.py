@@ -185,12 +185,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     predictions = [tokens for _, tokens in data.read_fields(args.pred, "tokens")]
     references = [target for _, target in data.read_fields(args.gold, "target")]
-    if len(predictions) != len(references):
-        raise data.DatasetError(f"prediction/reference count mismatch: "
-                                f"{len(predictions)} vs {len(references)}")
-    tally = training.ExactMatch()
-    for predicted, reference in zip(predictions, references):
-        tally.add(predicted, reference)
+    tally = training.ExactMatch.of(predictions, references)
     print(json.dumps({"exact_match": tally.rate, "misses": tally.misses()}))
     return 0
 

@@ -250,6 +250,17 @@ class ExactMatch:
     tokens: int = 0        # right length, wrong tokens
     no_candidate: int = 0  # InferenceError: no feasible length or no parse
 
+    @classmethod
+    def of(cls, predictions, references) -> "ExactMatch":
+        """Tally paired lists; raises DatasetError if their lengths differ."""
+        if len(predictions) != len(references):
+            raise DatasetError(f"prediction/reference count mismatch: "
+                               f"{len(predictions)} vs {len(references)}")
+        tally = cls()
+        for predicted, reference in zip(predictions, references):
+            tally.add(predicted, reference)
+        return tally
+
     def add(self, predicted, reference) -> None:
         """Count one output; predicted is None for a source with no candidate."""
         if predicted is None:

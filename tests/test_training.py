@@ -349,12 +349,7 @@ class TestTrainLoop:
 
 
 class TestExactMatch:
-    @staticmethod
-    def tally(predictions, references):
-        tally = training.ExactMatch()
-        for predicted, reference in zip(predictions, references):
-            tally.add(predicted, reference)
-        return tally
+    tally = staticmethod(training.ExactMatch.of)
 
     def test_identical(self):
         seqs = [list("ab"), list("cd")]
@@ -369,6 +364,10 @@ class TestExactMatch:
         gold = [list("a"), list("b"), list("c"), list("d")]
         pred = [list("a"), list("b"), list("c"), list("x")]
         assert self.tally(pred, gold).rate == 0.75
+
+    def test_count_mismatch_rejected(self):
+        with pytest.raises(data.DatasetError, match="count mismatch: 1 vs 2"):
+            self.tally([list("a")], [list("a"), list("b")])
 
 
 class TestConfigValidation:
