@@ -44,29 +44,70 @@ class SpanScores:
                 f"got {self.scores.value.shape}")
 
 
-def _chart_posteriors(scores: np.ndarray, length: int):
-    """Inside values plus factorized posteriors, all per width.
+def _split_views(a: np.ndarray, w: int) -> tuple[np.ndarray, ...]:
+    """The children of every split of every width-w span, as strided views
+    of a dense chart; writes through a view land in `a`.
 
-    zw[w][i] is the log inside value of span (i, i+w), po[w][i] its
-    (straight, inverted) posterior and ps[w][c-1][i] the posterior of its
-    split at i+c.
+    With L = a.shape[1], n = L-w+1 width-w spans and k = c-1 numbering the
+    split at i+c (c = 1..w-1), a 2-D inside chart Z[w, i] with strides
+    (z0, z1) gives two (w-1, n) views:
+
+        left[k, i]  = Z[c, i]        Z[1:w, :n]
+        right[k, i] = Z[w-c, c+i]    Z[w-1, 1:] with strides (z1-z0, z1)
+
+    and a 3-D offset chart O[w, i, s] with strides (s0, s1, s2) gives the
+    four (w-1, n, n) targets of a straight and an inverted split:
+
+        left_straight[k, i, s]  = O[c, i, s]        O[1:w, :n, :n]
+        right_straight[k, i, s] = O[w-c, c+i, c+s]  O[w-1, 1:, 1:] with
+                                                    strides (s1+s2-s0, s1, s2)
+        right_inverted[k, i, s] = O[w-c, c+i, s]    O[w-1, 1:, :] with
+                                                    strides (s1-s0, s1, s2)
+        left_inverted[k, i, s]  = O[c, i, w-c+s]    O[1, :, w-1:] with
+                                                    strides (s0-s2, s1, s2)
+
+    Every index stays below L, and distinct k address distinct planes, so
+    one in-place add per view never writes an element twice.  The strided
+    views come from the ndarray constructor over `a`'s buffer (a byte
+    offset plus strides), which raises ValueError for a view that would
+    reach outside the buffer; `as_strided` checks nothing and costs about
+    eight times as much per view.
+    """
+    n = a.shape[1] - w + 1
+    if a.ndim == 2:
+        z0, z1 = a.strides
+        return a[1:w, :n], np.ndarray((w - 1, n), a.dtype, a,
+                                      (w - 1) * z0 + z1, (z1 - z0, z1))
+    s0, s1, s2 = a.strides
+    shape = (w - 1, n, n)
+    return (a[1:w, :n, :n],
+            np.ndarray(shape, a.dtype, a, (w - 1) * s0 + s1 + s2, (s1 + s2 - s0, s1, s2)),
+            np.ndarray(shape, a.dtype, a, (w - 1) * s0 + s1, (s1 - s0, s1, s2)),
+            np.ndarray(shape, a.dtype, a, s0 + (w - 1) * s2, (s0 - s2, s1, s2)))
+
+
+def _chart_posteriors(scores: np.ndarray, length: int):
+    """Inside values plus factorized posteriors.
+
+    Z is the dense (length+1, length) inside chart: Z[w, i] is the log
+    inside value of span (i, i+w) for i <= length-w, and zero elsewhere.
+    po[w][i] is the (straight, inverted) posterior of that span and
+    ps[w][c-1][i] the posterior of its split at i+c.
     """
     orient_lse, orient_post = ad.lse_softmax(scores, axis=1)
-    zw: list[np.ndarray | None] = [None, np.zeros(length)]
+    Z = np.zeros((length + 1, length))
     po: list[np.ndarray | None] = [None, None]
     ps: list[np.ndarray | None] = [None, None]
     offset = 0
     for w in range(2, length + 1):
         n_w = length - w + 1
-        t = np.empty((w - 1, n_w))
-        for c in range(1, w):
-            t[c - 1] = zw[c][:n_w] + zw[w - c][c:c + n_w]
-        a, split_post = ad.lse_softmax(t, axis=0)
-        zw.append(a[0] + orient_lse[offset:offset + n_w, 0])
+        left, right = _split_views(Z, w)
+        a, split_post = ad.lse_softmax(left + right, axis=0)
+        Z[w, :n_w] = a[0] + orient_lse[offset:offset + n_w, 0]
         po.append(orient_post[offset:offset + n_w])
         ps.append(split_post)
         offset += n_w
-    return zw, po, ps
+    return Z, po, ps
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +117,13 @@ def expected_permutation(ss: SpanScores) -> Node:
     """Expected permutation matrix over the tree posterior: entry [a][b] is
     P(source position a lands on target slot b).
 
-    A top-down branching process over output offsets: o[w][i, s] is the
+    A top-down branching process over output offsets: O[w, i, s] is the
     probability that span (i, i+w) is a constituent whose output block
     starts at offset s.  A straight node split at i+c passes s to its left
     child and s+c to its right child; an inverted one passes s to its right
-    child and s+w-c to its left child.  The leaves give the matrix: o[1].
+    child and s+w-c to its left child.  The leaves give the matrix: O[1].
+    Each width moves its mass to all its splits at once through the views
+    of `_split_views`.
     """
     length = ss.length
     scores = ss.scores.value
@@ -88,51 +131,54 @@ def expected_permutation(ss: SpanScores) -> Node:
 
     # q[w][c-1, i] = P(split at i+c, (straight, inverted) | span (i, i+w))
     q = [None, None] + [ps[w][:, :, None] * po[w] for w in range(2, length + 1)]
-    o = [None] + [np.zeros((length - w + 1, length - w + 1)) for w in range(1, length + 1)]
-    o[length][0, 0] = 1.0
+    O = np.zeros((length + 1, length, length))
+    O[length, 0, 0] = 1.0
     for w in range(length, 1, -1):
         n = length - w + 1
-        for c in range(1, w):
-            qs = q[w][c - 1, :, 0, None] * o[w]
-            qi = q[w][c - 1, :, 1, None] * o[w]
-            o[c][:n, :n] += qs
-            o[w - c][c:c + n, c:c + n] += qs
-            o[w - c][c:c + n, :n] += qi
-            o[c][:n, w - c:w - c + n] += qi
+        ow = O[w, :n, :n]
+        qs = q[w][:, :, 0, None] * ow
+        qi = q[w][:, :, 1, None] * ow
+        left_s, right_s, right_i, left_i = _split_views(O, w)
+        left_s += qs
+        right_s += qs
+        right_i += qi
+        left_i += qi
 
     def bw(groot):
-        # bottom-up: adjoints of o and of the branch posteriors q
-        do = [None, groot]
+        # bottom-up: adjoints of O and of the branch posteriors q
+        dO = np.zeros_like(O)
+        dO[1] = groot
         dq = [None, None]
         for w in range(2, length + 1):
             n = length - w + 1
-            dow = np.zeros((n, n))
+            ow = O[w, :n, :n]
+            left_s, right_s, right_i, left_i = _split_views(dO, w)
+            gs = left_s + right_s
+            gi = right_i + left_i
             dqw = np.empty_like(q[w])
-            for c in range(1, w):
-                gs = do[c][:n, :n] + do[w - c][c:c + n, c:c + n]
-                gi = do[w - c][c:c + n, :n] + do[c][:n, w - c:w - c + n]
-                dqw[c - 1, :, 0] = (gs * o[w]).sum(axis=1)
-                dqw[c - 1, :, 1] = (gi * o[w]).sum(axis=1)
-                dow += q[w][c - 1, :, 0, None] * gs + q[w][c - 1, :, 1, None] * gi
-            do.append(dow)
+            dqw[:, :, 0] = np.einsum("cis,is->ci", gs, ow)
+            dqw[:, :, 1] = np.einsum("cis,is->ci", gi, ow)
+            dO[w, :n, :n] = (np.einsum("ci,cis->is", q[w][:, :, 0], gs)
+                             + np.einsum("ci,cis->is", q[w][:, :, 1], gi))
             dq.append(dqw)
         # top-down: z = lse_splits + lse_orient, posteriors are softmax JVPs;
-        # leaves have a constant inside value, so dz[1] is never read
-        dz = [np.zeros(length - w + 1) for w in range(length + 1)]
+        # leaves have a constant inside value, so dZ[1] is never read
+        dZ = np.zeros((length + 1, length))
         dscores = np.empty_like(scores)
         off = len(scores)
         for w in range(length, 1, -1):
             n = length - w + 1
             off -= n
-            gz = dz[w]
+            gz = dZ[w, :n]
             dps = (dq[w] * po[w]).sum(axis=2)
             dpo = (dq[w] * ps[w][:, :, None]).sum(axis=0)
             dt = ps[w] * (gz + dps - (ps[w] * dps).sum(axis=0))
             dscores[off:off + n] = po[w] * (gz[:, None] + dpo
                                             - (po[w] * dpo).sum(axis=1, keepdims=True))
-            for c in range(1, w):
-                dz[c][:n] += dt[c - 1]
-                dz[w - c][c:c + n] += dt[c - 1]
+            left, right = _split_views(dZ, w)
+            left += dt
+            right += dt
         ad._acc(ss.scores, dscores)
 
-    return ad.make_node(o[1], (ss.scores,), bw)
+    # a copy, so that without a tape the result does not keep all of O alive
+    return ad.make_node(O[1].copy(), (ss.scores,), bw)

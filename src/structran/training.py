@@ -313,8 +313,8 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
             for src, tgt in train_pairs
         ]
     order = list(range(len(train_pairs)))
+    # epochs >= 1 and every dev rate is >= 0, so the first epoch sets best_state
     best_dev, best_epoch = -1.0, -1
-    best_state: dict[str, np.ndarray] = {}
     metrics: list[dict] = []
     # the records stream to PATH.tmp, which replaces PATH only when
     # training returns, so a failed run leaves the previous log in place
@@ -359,6 +359,5 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
             if (config.stop_exact_match is not None
                     and dev.rate >= config.stop_exact_match):
                 break
-    if best_state:
-        model.store.load_state_arrays(best_state)
+    model.store.load_state_arrays(best_state)
     return TrainResult(best_dev, best_epoch, metrics)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.array_utils import byte_bounds
 
 from structran import autodiff as ad
 from structran import oracles, reordering
@@ -26,8 +27,8 @@ def random_chart(rng, length, scale=1.5) -> reordering.SpanScores:
 
 
 def root_logz(ss: reordering.SpanScores) -> float:
-    zw, _, _ = reordering._chart_posteriors(ss.scores.value, ss.length)
-    return float(zw[ss.length][0])
+    z, _, _ = reordering._chart_posteriors(ss.scores.value, ss.length)
+    return float(z[ss.length, 0])
 
 
 def split_table(ss: reordering.SpanScores, i: int, j: int) -> np.ndarray:
@@ -69,6 +70,43 @@ class TestInside:
         ss = random_chart(np.random.default_rng(seed), length)
         _, logz = oracles.enum_tree_expectation(score_lookup(ss), length)
         assert root_logz(ss) == pytest.approx(logz, abs=1e-9)
+
+
+class TestSplitViews:
+    """Each view of `_split_views` addresses exactly the chart elements its
+    docstring names, and stays inside the chart's buffer."""
+
+    @staticmethod
+    def assert_inside(view, base):
+        lo, hi = byte_bounds(view)
+        base_lo, base_hi = byte_bounds(base)
+        assert base_lo <= lo and hi <= base_hi
+
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_views_follow_their_index_maps(self, length):
+        # sentinels: every element holds its own flat index
+        O = np.arange(float((length + 1) * length * length)).reshape(length + 1, length, length)
+        Z = np.arange(float((length + 1) * length)).reshape(length + 1, length)
+        for w in range(2, length + 1):
+            n = length - w + 1
+            left, right = reordering._split_views(Z, w)
+            left_s, right_s, right_i, left_i = reordering._split_views(O, w)
+            for view in (left, right):
+                assert view.shape == (w - 1, n)
+                self.assert_inside(view, Z)
+            for view in (left_s, right_s, right_i, left_i):
+                assert view.shape == (w - 1, n, n)
+                self.assert_inside(view, O)
+            for k in range(w - 1):
+                c = k + 1
+                for i in range(n):
+                    assert left[k, i] == Z[c, i]
+                    assert right[k, i] == Z[w - c, c + i]
+                    for s in range(n):
+                        assert left_s[k, i, s] == O[c, i, s]
+                        assert right_s[k, i, s] == O[w - c, c + i, c + s]
+                        assert right_i[k, i, s] == O[w - c, c + i, s]
+                        assert left_i[k, i, s] == O[c, i, w - c + s]
 
 
 class TestSplitPosteriors:
