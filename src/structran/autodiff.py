@@ -126,8 +126,12 @@ def _acc(p: Node, g: np.ndarray) -> None:
     if not p.requires_grad:
         return
     if p.grad is None:
-        p.grad = np.zeros_like(p.value)
-    p.grad += g
+        # the first adjoint is stored as a copy, broadcast as += would
+        if g.shape != p.value.shape:
+            g = np.broadcast_to(g, p.value.shape)
+        p.grad = np.array(g, dtype=np.float64)
+    else:
+        p.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -226,8 +230,10 @@ def matmul(a, b) -> Node:
     v = a.value @ b.value
 
     def bw(g):
-        _acc(a, g @ b.value.T)
-        _acc(b, a.value.T @ g)
+        if a.requires_grad:
+            _acc(a, g @ b.value.T)
+        if b.requires_grad:
+            _acc(b, a.value.T @ g)
 
     return make_node(v, (a, b), bw)
 
@@ -356,15 +362,11 @@ def tanh(a: Node) -> Node:
     return make_node(v, (a,), bw)
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) without overflow: exp(-|x|) is at most 1."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def sigmoid(a: Node) -> Node:
+    """1 / (1 + exp(-x)) as tanh(x / 2) / 2 + 1 / 2, which cannot overflow;
+    the LSTM gates use the same identity."""
     a = _wrap(a)
-    v = _logistic(a.value)
+    v = 0.5 * np.tanh(0.5 * a.value) + 0.5
 
     def bw(g):
         _acc(a, g * v * (1.0 - v))
@@ -401,6 +403,83 @@ def lse_softmax(x: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
     return v, e / np.where(s > 0.0, s, 1.0)
 
 
+# Per-gate scale s of the gate blocks (input, forget, cell, output):
+# sigmoid(z) = tanh(z / 2) / 2 + 1 / 2, so tanh(s * z) * s + (1 - s) is the
+# activation of every gate, one tanh for all four.  Scaling by s is exact.
+_GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])
+
+
+def _recurrence(zx: np.ndarray, wh: np.ndarray, h0=None, c0=None):
+    """The LSTM step loop, over gate-major pre-activations of width K.
+
+    zx (T, 4K) holds the input terms and the bias of every step and wh
+    (4K, K) the recurrent weights; rows g*K .. (g+1)*K are gate g of
+    (input, forget, cell, output), and both arrive with gate g scaled by
+    _GATE_SCALE[g].  The state starts from h0, c0 (zeros when omitted).
+    Every step is one product, one add and one tanh over all 4K
+    pre-activations.
+
+    Returns hs and cs (T+1, K), whose row 0 is the start state, and what
+    _recurrence_adjoint needs: the gate activations (T, 4K) and tanh of
+    the cell states (T, K).
+    """
+    steps, width = zx.shape[0], wh.shape[1]
+    scale = np.repeat(_GATE_SCALE, width)
+    shift = 1.0 - scale
+    hs, cs = np.zeros((steps + 1, width)), np.zeros((steps + 1, width))
+    if h0 is not None:
+        hs[0], cs[0] = h0, c0
+    act = np.empty((steps, 4 * width))
+    tanh_c = np.empty((steps, width))
+    for t in range(steps):
+        a = act[t]
+        np.dot(wh, hs[t], out=a)
+        a += zx[t]
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        np.multiply(a[width:2 * width], cs[t], out=cs[t + 1])
+        cs[t + 1] += a[:width] * a[2 * width:3 * width]
+        np.tanh(cs[t + 1], out=tanh_c[t])
+        np.multiply(a[3 * width:], tanh_c[t], out=hs[t + 1])
+    return hs, cs, act, tanh_c
+
+
+def _recurrence_adjoint(wh, cs, act, tanh_c, dh_out, dc_out=None):
+    """Backprop through time for _recurrence, in one reverse sweep.
+
+    wh is the scaled recurrent matrix _recurrence ran with.  dh_out
+    (T, K) is the adjoint of hs[1:] and dc_out, when given, that of
+    cs[1:].  Returns the adjoints dz (T, 4K) of the unscaled
+    pre-activations of every step, and those of the start state, dh0
+    and dc0.
+    """
+    steps, width = dh_out.shape
+    i, f = act[:, :width], act[:, width:2 * width]
+    gc, o = act[:, 2 * width:3 * width], act[:, 3 * width:]
+    dh_to_dc = o * (1.0 - tanh_c * tanh_c)
+    # dz[t] = coef[t] * [dc_t, dc_t, dc_t, dh_t], block by block; the sweep
+    # runs on dz / s, the adjoint of the scaled pre-activations
+    coef = np.stack([gc * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
+                     i * (1.0 - gc * gc), tanh_c * o * (1.0 - o)], axis=1)
+    coef /= _GATE_SCALE[:, None]
+    dz = np.empty((steps, 4, width))
+    wh_t = wh.T
+    dh_next, dc_next = np.zeros(width), np.zeros(width)
+    for t in range(steps - 1, -1, -1):
+        dh = dh_out[t] + dh_next
+        dc = dh * dh_to_dc[t]
+        dc += dc_next
+        if dc_out is not None:
+            dc += dc_out[t]
+        np.multiply(coef[t, :3], dc, out=dz[t, :3])
+        np.multiply(coef[t, 3], dh, out=dz[t, 3])
+        dc_next = dc * f[t]
+        dh_next = wh_t @ dz[t].reshape(-1)
+    dz *= _GATE_SCALE[:, None]
+    return dz.reshape(steps, 4 * width), dh_next, dc_next
+
+
 def lstm(inputs: Node, w: Node, b: Node, state: Node | None = None) -> Node:
     """One LSTM direction over the rows of inputs (T, D) as a single op.
 
@@ -421,53 +500,100 @@ def lstm(inputs: Node, w: Node, b: Node, state: Node | None = None) -> Node:
     if (x.ndim != 2 or w.value.shape != (4 * hdim, x.value.shape[1] + hdim)
             or b.value.shape != (4 * hdim,)):
         raise ShapeError("lstm", x.shape, w.shape, b.shape)
-    steps, in_dim = x.value.shape
-    hs, cs = np.zeros((steps + 1, hdim)), np.zeros((steps + 1, hdim))
-    init = ()
+    in_dim = x.value.shape[1]
+    start, init = (None, None), ()
     if state is not None:
         init = (_wrap(state),)
         if init[0].shape != (2 * hdim,):
             raise ShapeError("lstm", w.shape, init[0].shape)
-        hs[0], cs[0] = init[0].value[:hdim], init[0].value[hdim:]
-    wx, wh = w.value[:, :in_dim], w.value[:, in_dim:]
-    zx = x.value @ wx.T + b.value
-    act = np.empty((steps, 4 * hdim))  # gate activations i, f, g, o
-    tanh_c = np.empty((steps, hdim))
-    for t in range(steps):
-        z = zx[t] + wh @ hs[t]
-        a = act[t]
-        a[:] = _logistic(z)
-        a[2 * hdim:3 * hdim] = np.tanh(z[2 * hdim:3 * hdim])
-        cs[t + 1] = a[hdim:2 * hdim] * cs[t] + a[:hdim] * a[2 * hdim:3 * hdim]
-        tanh_c[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = a[3 * hdim:] * tanh_c[t]
+        start = init[0].value[:hdim], init[0].value[hdim:]
+    scale = np.repeat(_GATE_SCALE, hdim)
+    wx, wh = w.value[:, :in_dim], w.value[:, in_dim:] * scale[:, None]
+    hs, cs, act, tanh_c = _recurrence((x.value @ wx.T + b.value) * scale, wh, *start)
     v = np.concatenate([hs[1:], cs[1:]], axis=1)
 
     def bw(g):
-        i, f = act[:, :hdim], act[:, hdim:2 * hdim]
-        gc, o = act[:, 2 * hdim:3 * hdim], act[:, 3 * hdim:]
-        dh_to_dc = o * (1.0 - tanh_c * tanh_c)
-        # dz[t] = coef[t] * [dc_t, dc_t, dc_t, dh_t], block by block
-        coef = np.stack([gc * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
-                         i * (1.0 - gc * gc), tanh_c * o * (1.0 - o)], axis=1)
-        dz = np.empty((steps, 4, hdim))
-        wh_t = wh.T
-        dh_next, dc_next = np.zeros(hdim), np.zeros(hdim)
-        for t in range(steps - 1, -1, -1):
-            dh = g[t, :hdim] + dh_next
-            dc = g[t, hdim:] + dc_next + dh * dh_to_dc[t]
-            np.multiply(coef[t, :3], dc, out=dz[t, :3])
-            np.multiply(coef[t, 3], dh, out=dz[t, 3])
-            dc_next = dc * f[t]
-            dh_next = wh_t @ dz[t].reshape(-1)
-        dz = dz.reshape(steps, 4 * hdim)
+        dz, dh0, dc0 = _recurrence_adjoint(wh, cs, act, tanh_c,
+                                           g[:, :hdim], g[:, hdim:])
         _acc(w, np.concatenate([dz.T @ x.value, dz.T @ hs[:-1]], axis=1))
         _acc(b, dz.sum(axis=0))
         _acc(x, dz @ wx)
         if init:
-            _acc(init[0], np.concatenate([dh_next, dc_next]))
+            _acc(init[0], np.concatenate([dh0, dc0]))
 
     return make_node(v, (x, w, b) + init, bw)
+
+
+def bilstm(inputs: Node, w_fw: Node, b_fw: Node, w_bw: Node, b_bw: Node) -> Node:
+    """Both directions of a bidirectional LSTM over the rows of inputs (T, D)
+    as a single op.
+
+    Each direction has its own w (4H, D + H) and b (4H,), laid out as in
+    lstm.  Returns the hidden states (T, 2H) whose row t is
+    [h_fw_t; h_bw_t]: the forward state after rows 0..t and the backward
+    state after rows T-1 down to t.
+
+    Inside, the two directions are one recurrence of width K = 2H, gate
+    major and direction minor: row g*K + d*H + j is unit j of gate g in
+    direction d (0 forward, 1 backward).  The recurrent matrix is block
+    diagonal inside each gate block, and step t of the backward direction
+    reads input row T-1-t, so each step runs on contiguous slices of both
+    directions at once.  The backward sweep is likewise one for both.
+    """
+    x = _wrap(inputs)
+    params = tuple(_wrap(p) for p in (w_fw, b_fw, w_bw, b_bw))
+    w_fw, b_fw, w_bw, b_bw = params
+    hdim = w_fw.value.shape[0] // 4
+    if x.ndim != 2 or any(w.value.shape != (4 * hdim, x.value.shape[1] + hdim)
+                          or b.value.shape != (4 * hdim,)
+                          for w, b in ((w_fw, b_fw), (w_bw, b_bw))):
+        raise ShapeError("bilstm", x.shape, *(p.shape for p in params))
+    steps, in_dim = x.value.shape
+    width = 2 * hdim
+
+    def interleave(a_fw: np.ndarray, a_bw: np.ndarray) -> np.ndarray:
+        """Per-direction rows (4H, ...) to the gate-major rows (4K, ...)."""
+        rest = a_fw.shape[1:]
+        return np.stack([a_fw.reshape(4, hdim, *rest), a_bw.reshape(4, hdim, *rest)],
+                        axis=1).reshape(4 * width, *rest)
+
+    def direction(a: np.ndarray, d: int) -> np.ndarray:
+        """The rows (4H, ...) of direction d in gate-major rows (4K, ...)."""
+        rest = a.shape[1:]
+        return a.reshape(4, 2, hdim, *rest)[:, d].reshape(4 * hdim, *rest)
+
+    def reverse_backward_steps(z: np.ndarray) -> np.ndarray:
+        """Swap between input row order and step order: the backward
+        direction's columns of (T, 4K) reversed in time, in place."""
+        z4 = z.reshape(steps, 4, 2, hdim)
+        z4[:, :, 1] = z4[::-1, :, 1].copy()
+        return z
+
+    wx = interleave(w_fw.value[:, :in_dim], w_bw.value[:, :in_dim])
+    wh = np.zeros((4, 2, hdim, 2, hdim))
+    for d, w in enumerate((w_fw, w_bw)):
+        wh[:, d, :, d] = (w.value[:, in_dim:].reshape(4, hdim, hdim)
+                          * _GATE_SCALE[:, None, None])
+    wh = wh.reshape(4 * width, width)
+    zx = (x.value @ wx.T + interleave(b_fw.value, b_bw.value)) \
+        * np.repeat(_GATE_SCALE, width)
+    hs, cs, act, tanh_c = _recurrence(reverse_backward_steps(zx), wh)
+    v = np.concatenate([hs[1:, :hdim], hs[:0:-1, hdim:]], axis=1)
+
+    def bw(g):
+        dh_out = np.concatenate([g[:, :hdim], g[::-1, hdim:]], axis=1)
+        dz = _recurrence_adjoint(wh, cs, act, tanh_c, dh_out)[0]
+        dz4 = dz.reshape(steps, 4, 2, hdim)
+        dwh = [dz4[:, :, d].reshape(steps, 4 * hdim).T @ hs[:-1, d * hdim:(d + 1) * hdim]
+               for d in range(2)]
+        dz = reverse_backward_steps(dz)
+        dwx, db = dz.T @ x.value, dz.sum(axis=0)
+        for d, (w, b) in enumerate(((w_fw, b_fw), (w_bw, b_bw))):
+            _acc(w, np.concatenate([direction(dwx, d), dwh[d]], axis=1))
+            _acc(b, direction(db, d))
+        _acc(x, dz @ wx)
+
+    return make_node(v, (x,) + params, bw)
 
 
 # ---------------------------------------------------------------------------

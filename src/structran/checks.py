@@ -160,6 +160,8 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
 
     case("lstm", lstm, lstm_arrays)
     case("lstm.state", lstm, lambda r: lstm_arrays(r) + [r(6)])
+    case("bilstm", lambda n: _weighted(ad.bilstm(*n)),
+         lambda r: [r((5, 2)), r((12, 5)), r(12), r((12, 5)), r(12)])  # T=5, D=2, H=3
 
     return cases
 

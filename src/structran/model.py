@@ -25,6 +25,7 @@ one greedy token at a time, carrying the packed [h; c] state row.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -103,6 +104,26 @@ def config_from_dict(cls, raw: dict):
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ValueError(f"{name} must be {what}, got {json.dumps(value)}")
     return cls(**raw)
+
+
+def _span_incidence(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The +-1 incidence matrices (S, length) that map BiLSTM states to
+    span features, one row per span of reordering.spans(length).
+
+    With the fenceposts ff[k], the forward state after k rows, and bb[k],
+    the backward state covering rows k..length-1, span (i, j) has the
+    features ff[j] - ff[i] and bb[i] - bb[j].  ff[0] and bb[length] are
+    zero, so their columns are dropped: E_f @ fwd and E_b @ bwd are the
+    two feature blocks, with fwd and bwd the (length, H) state rows.
+    """
+    span_list = reordering.spans(length)
+    left, right = np.fromiter(itertools.chain.from_iterable(span_list), np.intp,
+                              2 * len(span_list)).reshape(-1, 2).T
+    rows = np.arange(left.size)
+    e = np.zeros((2, rows.size, length + 1))
+    e[0, rows, right] = e[1, rows, left] = 1.0
+    e[0, rows, left] = e[1, rows, right] = -1.0
+    return e[0, :, 1:], e[1, :, :-1]
 
 
 @dataclass
@@ -204,18 +225,13 @@ class Model:
         return ad.lstm(inputs, self.store[prefix + ".W"], self.store[prefix + ".b"],
                        state)
 
-    @staticmethod
-    def _hidden(packed: Node, rows=slice(None)) -> Node:
-        """The h half of packed LSTM states, at the given rows."""
-        return ad.slice_(packed, (rows, slice(0, packed.shape[1] // 2)))
-
-    def _bilstm(self, tag: str, inputs: Node) -> tuple[Node, Node]:
-        """Forward and backward states (T, H), aligned by row: row t of the
-        backward states covers rows t..T-1."""
-        reverse = slice(None, None, -1)
-        fwd = self._lstm(tag + ".fw", inputs)
-        bwd = self._lstm(tag + ".bw", ad.slice_(inputs, reverse))
-        return self._hidden(fwd), self._hidden(bwd, reverse)
+    def _bilstm(self, tag: str, inputs: Node) -> Node:
+        """Hidden states (T, 2H) of the BiLSTM over the rows of inputs, one
+        ad.bilstm node: row t is [h_fw_t; h_bw_t], the forward state after
+        rows 0..t and the backward state covering rows t..T-1."""
+        s = self.store
+        return ad.bilstm(inputs, s[tag + ".fw.W"], s[tag + ".fw.b"],
+                         s[tag + ".bw.W"], s[tag + ".bw.b"])
 
     def _mlp(self, prefix: str, inp: Node) -> Node:
         hid = ad.tanh(ad.matmul(inp, ad.transpose(self.store[prefix + ".W1"]))
@@ -237,7 +253,7 @@ class Model:
         x = ad.slice_(self.store["emb_src"], ids)
         if cfg.skip_scale == 0.0:
             return x, x
-        ctx_states = ad.concat(self._bilstm("ctx", x), axis=1)
+        ctx_states = self._bilstm("ctx", x)
         if "ctx.proj" in self.store:
             ctx_states = ad.matmul(ctx_states, ad.transpose(self.store["ctx.proj"]))
         return x, ctx_states * cfg.skip_scale + x
@@ -245,7 +261,7 @@ class Model:
     def fertility_head(self, rows: Node) -> fertility.FertilityTable:
         """Fertility table of the given rows: a BiLSTM over them, then a
         per-row softmax over 0..d copies."""
-        logits = self._mlp("fert.mlp", ad.concat(self._bilstm("fert", rows), axis=1))
+        logits = self._mlp("fert.mlp", self._bilstm("fert", rows))
         return fertility.FertilityTable(
             ad.softmax(logits, tau=self.config.temperature, axis=-1))
 
@@ -265,18 +281,12 @@ class Model:
         length = seq.shape[0]
         if length == 1:
             return reordering.SpanScores(1, ad.constant(np.zeros((0, 2))))
-        fwd, bwd = self._bilstm("reorder", seq)
-        # fenceposts: ff[k] is the forward state after k rows and bb[k] the
-        # backward state covering rows k..T-1; ff[0] and bb[T] are zero
-        zero = ad.constant(np.zeros((1, fwd.shape[1])))
-        ff = ad.concat([zero, fwd], axis=0)
-        bb = ad.concat([bwd, zero], axis=0)
-        span_list = reordering.spans(length)
-        left = np.array([i for i, _ in span_list], dtype=np.intp)
-        right = np.array([j for _, j in span_list], dtype=np.intp)
-        fdiff = ad.slice_(ff, right) - ad.slice_(ff, left)
-        bdiff = ad.slice_(bb, left) - ad.slice_(bb, right)
-        feats = ad.concat([fdiff, bdiff], axis=1)
+        states = self._bilstm("reorder", seq)
+        hdim = states.shape[1] // 2
+        fwd = ad.slice_(states, (slice(None), slice(0, hdim)))
+        bwd = ad.slice_(states, (slice(None), slice(hdim, None)))
+        e_f, e_b = _span_incidence(length)
+        feats = ad.concat([ad.matmul(e_f, fwd), ad.matmul(e_b, bwd)], axis=1)
         return reordering.SpanScores(length, self._mlp("span.mlp", feats))
 
     def mixing_weights(self, marg: Node, perm_matrix: Node) -> Node:
@@ -348,7 +358,7 @@ class Model:
             raise ad.DomainError(
                 f"target token id outside the vocabulary of size {cfg.target_vocab}")
         packed = self._lstm("ar", ad.slice_(self.store["emb_tgt"], ids), state)
-        rows = self._hidden(packed)
+        rows = ad.slice_(packed, (slice(None), slice(0, cfg.decoder_hidden)))
         if "ar.proj" in self.store:
             rows = ad.matmul(rows, ad.transpose(self.store["ar.proj"]))
         return rows, packed

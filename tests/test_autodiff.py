@@ -30,6 +30,25 @@ def lstm_per_step(x, w, b, h=None, c=None):
     return np.array(rows)
 
 
+def saturated_lstm_arrays(rng):
+    """x, w, b of a T=81 LSTM with preactivations up to +-40: every gate
+    saturates."""
+    x, w, b = rng.normal(size=(81, 3)), rng.normal(size=(16, 7)), rng.normal(size=16)
+    scale = 40.0 / np.abs(x @ w[:, :3].T + b).max()
+    return x, w * scale, b * scale
+
+
+def bilstm_by_directions(x, w_fw, b_fw, w_bw, b_bw):
+    """A BiLSTM composed of two lstm nodes: the backward one runs over the
+    reversed rows, and its hidden rows are reversed back."""
+    hdim = b_fw.shape[0] // 4
+    reverse = slice(None, None, -1)
+    fwd = ad.lstm(x, w_fw, b_fw)
+    bwd = ad.lstm(ad.slice_(x, reverse), w_bw, b_bw)
+    return ad.concat([ad.slice_(fwd, (slice(None), slice(0, hdim))),
+                      ad.slice_(bwd, (reverse, slice(0, hdim)))], axis=1)
+
+
 class TestForwardValues:
     def test_softmax_symmetry(self):
         out = ad.softmax(ad.constant(np.array([0.0, 0.0])), tau=1.0)
@@ -88,11 +107,8 @@ class TestForwardValues:
                                    rtol=0, atol=1e-12)
 
     def test_lstm_long_sequence_with_saturated_gates_stays_finite(self):
-        # T=81 with preactivations up to +-40: every gate saturates
         rng = np.random.default_rng(5)
-        x, w, b = rng.normal(size=(81, 3)), rng.normal(size=(16, 7)), rng.normal(size=16)
-        scale = 40.0 / np.abs(x @ w[:, :3].T + b).max()
-        w, b = w * scale, b * scale
+        x, w, b = saturated_lstm_arrays(rng)
         state = ad.parameter(rng.normal(size=8))
         nodes = [ad.parameter(a) for a in (x, w, b)]
         out = ad.lstm(*nodes, state)
@@ -102,6 +118,26 @@ class TestForwardValues:
         ad.backward(ad.sum_(out * ad.constant(rng.normal(size=out.shape))))
         for node in nodes + [state]:
             assert node.grad is not None and np.isfinite(node.grad).all()
+
+    @pytest.mark.parametrize("steps", [1, 6, 81])
+    def test_bilstm_equals_two_directions(self, steps):
+        rng = np.random.default_rng(steps)
+        if steps == 81:
+            x, w_fw, b_fw = saturated_lstm_arrays(rng)
+            _, w_bw, b_bw = saturated_lstm_arrays(rng)
+        else:
+            x = rng.normal(size=(steps, 3))
+            w_fw, b_fw, w_bw, b_bw = (rng.normal(size=s) for s in ((16, 7), 16) * 2)
+        upstream = rng.normal(size=(steps, 8))
+
+        def run(op):
+            nodes = [ad.parameter(a) for a in (x, w_fw, b_fw, w_bw, b_bw)]
+            out = op(*nodes)
+            ad.backward(ad.sum_(out * ad.constant(upstream)))
+            return [out.value] + [node.grad for node in nodes]
+
+        for fused, composed in zip(run(ad.bilstm), run(bilstm_by_directions)):
+            np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
 
     def test_lstm_over_no_rows_is_empty_with_zero_gradients(self):
         # teacher forcing at output length 1 runs the decoder over no tokens

@@ -146,6 +146,32 @@ class TestReorderingScores:
         ss = m.reordering_scores(m.encode([2, 0, 1, 4])[0])
         assert ss.scores.value.shape == (len(reordering.spans(4)), 2)
 
+    def test_span_features_equal_fencepost_differences(self, monkeypatch):
+        # span (i, j) reads ff[j] - ff[i] and bb[i] - bb[j], where ff[k] is
+        # the forward state after k rows and bb[k] the backward state
+        # covering rows k..L-1, with ff[0] = bb[L] = 0
+        from structran import reordering
+        m = md.Model(tiny_config())
+        seen = []
+        mlp = md.Model._mlp
+
+        def recorded(self, prefix, inp):
+            seen.append(inp.value)
+            return mlp(self, prefix, inp)
+
+        monkeypatch.setattr(md.Model, "_mlp", recorded)
+        rng = np.random.default_rng(2)
+        for length in range(2, 13):
+            seq = ad.constant(rng.normal(size=(length, 4)))
+            m.reordering_scores(seq)
+            states = m._bilstm("reorder", seq).value
+            zero = np.zeros((1, 3))
+            ff = np.concatenate([zero, states[:, :3]])
+            bb = np.concatenate([states[:, 3:], zero])
+            expected = [np.concatenate([ff[j] - ff[i], bb[i] - bb[j]])
+                        for i, j in reordering.spans(length)]
+            np.testing.assert_array_equal(seen[-1], expected)
+
 
 class TestTransduction:
     @pytest.mark.parametrize("composition", ["fertility-first", "reorder-first"])
