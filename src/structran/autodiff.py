@@ -379,7 +379,8 @@ def softmax(a: Node, tau: float = 1.0, axis: int = -1) -> Node:
     a = _wrap(a)
     if tau <= 0.0:
         raise DomainError(f"softmax: temperature must be positive, got {tau}")
-    v = lse_softmax(a.value / tau, axis)[1]
+    _, v, s = _shifted_exp(a.value / tau, axis)
+    v /= s
 
     def bw(g):
         inner = (g * v).sum(axis=axis, keepdims=True)
@@ -391,16 +392,28 @@ def softmax(a: Node, tau: float = 1.0, axis: int = -1) -> Node:
 def lse_softmax(x: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
     """log sum exp of x along `axis` (kept as a size-1 axis) and the softmax.
 
-    The max shift keeps every exponent at or below zero.  A slice that is
-    all -inf gives -inf with all-zero weights.
+    A slice that is all -inf gives -inf with all-zero weights.
     """
-    m = np.max(x, axis=axis, keepdims=True)
-    m = np.where(m > -np.inf, m, 0.0)
-    e = np.exp(x - m)
-    s = e.sum(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        v = np.log(s) + m
-    return v, e / np.where(s > 0.0, s, 1.0)
+    m, e, s = _shifted_exp(x, axis)
+    return np.log(s) + m, e / s
+
+
+_LOWEST = np.finfo(np.float64).min
+
+
+def _shifted_exp(x: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, e, s): the max m of x along `axis` (kept as a size-1 axis),
+    e = exp(x - max(m, -DBL_MAX)) and s = max(sum of e, 1).
+
+    The shift keeps every exponent at or below zero.  The max entry of a
+    slice contributes exp(0) = 1 to its sum, so only an all -inf slice,
+    whose e is 0 and whose m is -inf, has its sum raised to 1: there
+    log(s) + m is -inf and e / s is 0, with no warning raised.
+    """
+    m = np.maximum.reduce(x, axis, keepdims=True)
+    e = np.exp(x - np.maximum(m, _LOWEST))
+    s = np.add.reduce(e, axis, keepdims=True)
+    return m, e, np.maximum(s, 1.0, out=s)
 
 
 # Per-gate scale s of the gate blocks (input, forget, cell, output):

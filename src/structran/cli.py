@@ -95,7 +95,8 @@ def train_checkpoint(train_examples, dev_examples, model_raw: dict,
         Path(ckpt).parent.mkdir(parents=True, exist_ok=True)
     result = training.train(
         model, train_pairs, dev_pairs, train_config, log=log,
-        metrics_path=None if ckpt is None else f"{ckpt}.metrics.jsonl")
+        metrics_path=None if ckpt is None else f"{ckpt}.metrics.jsonl",
+        origins=[ex.origin for ex in train_examples])
     if ckpt is not None:
         model.store.save(ckpt)
         meta = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +30,8 @@ class DatasetError(ValueError):
 class Example:
     source: list[str]
     target: list[str]
+    # "FILE: line N" for an example read from a file; errors name it
+    origin: str | None = field(default=None, compare=False)
 
 
 def mirror_target(source: Sequence[str]) -> list[str]:
@@ -136,8 +138,8 @@ def read_fields(path, *fields: str) -> list[tuple]:
 
 
 def read_jsonl(path) -> list[Example]:
-    return [Example(source, target)
-            for _, source, target in read_fields(path, "source", "target")]
+    return [Example(source, target, f"{path}: line {lineno}")
+            for lineno, source, target in read_fields(path, "source", "target")]
 
 
 @dataclass
@@ -191,5 +193,14 @@ def copy_id_map(source_vocab: Vocabulary, target_vocab: Vocabulary) -> np.ndarra
 
 def encode_examples(examples: Sequence[Example], source_vocab: Vocabulary,
                     target_vocab: Vocabulary) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(source_vocab.encode(ex.source), target_vocab.encode(ex.target))
-            for ex in examples]
+    """(source_ids, target_ids) per example; an unknown token raises
+    DatasetError, which names the example's origin when it has one."""
+    pairs = []
+    for ex in examples:
+        try:
+            pairs.append((source_vocab.encode(ex.source), target_vocab.encode(ex.target)))
+        except DatasetError as exc:
+            if ex.origin is None:
+                raise
+            raise DatasetError(f"{ex.origin}: {exc}") from exc
+    return pairs

@@ -46,9 +46,10 @@ class FertilityTable:
         v = self.probs.value
         if v.ndim != 2 or v.shape[1] < 2:
             raise DomainError(f"fertility table must be (n, d+1) with d >= 1, got {v.shape}")
-        if np.any(v < 0.0):
-            raise DomainError("fertility probabilities must be nonnegative")
-        if np.any(np.abs(v.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+        # written so that NaN fails both checks
+        if not (v >= 0.0).all():
+            raise DomainError("fertility probabilities must be nonnegative numbers")
+        if not (np.abs(v.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
             raise DomainError("fertility rows must sum to 1")
 
     @property
@@ -80,49 +81,54 @@ class FertilityTable:
 
 
 # ---------------------------------------------------------------------------
-# log-space prefix sweep and its adjoint
+# log-space prefix sweeps and their adjoint
 
 def _sweep(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix log-convolution: out[i][h] = log P(f_1 + .. + f_i = h).
+    """Prefix log-convolutions of a stack of tables, all in one loop:
+    out[k][i][h] = log P(f_1 + .. + f_i = h) under logp[k], (K, n, d+1).
 
-    Also returns weights[i][r][h], the share of out[i+1][h] that has
+    Also returns weights[k][i][r][h], the share of out[k][i+1][h] that has
     f_{i+1} = r, which is the local derivative the adjoint needs.
     """
-    n, dp1 = logp.shape
+    stack, n, dp1 = logp.shape
     d = dp1 - 1
     width = n * d + 1
-    out = np.full((n + 1, d + width), -np.inf)  # d leading -inf columns pad the shifts
-    out[0, d] = 0.0
+    out = np.full((stack, n + 1, d + width), -np.inf)  # d leading -inf columns pad the shifts
+    out[:, 0, d] = 0.0
     shifted = d + np.arange(width) - np.arange(dp1)[:, None]
-    weights = np.empty((n, dp1, width))
+    weights = np.empty((stack, n, dp1, width))
     for i in range(n):
-        total, weights[i] = ad.lse_softmax(logp[i][:, None] + out[i][shifted], axis=0)
-        out[i + 1, d:] = total[0]
-    return out[:, d:], weights
+        total, weights[:, i] = ad.lse_softmax(logp[:, i, :, None] + out[:, i, shifted],
+                                              axis=1)
+        out[:, i + 1, d:] = total[:, 0]
+    return out[:, :, d:], weights
 
 
 def _sweep_adjoint(dout: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Backpropagate through _sweep; consumes dout in place, returns dlogp."""
-    n, dp1, width = weights.shape
-    dlogp = np.empty((n, dp1))
+    stack, n, dp1, width = weights.shape
+    dlogp = np.empty((stack, n, dp1))
     for i in range(n - 1, -1, -1):
-        seg = weights[i] * dout[i + 1]
-        dlogp[i] = seg.sum(axis=1)
+        seg = weights[:, i] * dout[:, i + 1, None]
+        dlogp[:, i] = seg.sum(axis=2)
         for r in range(dp1):
-            dout[i, :width - r] += seg[r, r:]
+            dout[:, i, :width - r] += seg[:, r, r:]
     return dlogp
 
 
 def _log_tables(ft: FertilityTable) -> Node:
-    """Prefix and suffix tables as one node (see FertilityTable.log_tables)."""
+    """Prefix and suffix tables as one node (see FertilityTable.log_tables).
+
+    The suffix table is the prefix table of the reversed rows, so one
+    stacked sweep builds both.
+    """
     probs = ft.probs  # the backward closure must not hold ft, which caches the node
-    prefix, wf = _sweep(ft.log_probs)
-    suffix, wb = _sweep(ft.log_probs[::-1])
+    logp = ft.log_probs
+    (prefix, suffix), weights = _sweep(np.stack([logp, logp[::-1]]))
 
     def bw(g):
-        dlogp = _sweep_adjoint(g[0].copy(), wf)
-        dlogp += _sweep_adjoint(g[1][::-1].copy(), wb)[::-1]
-        _acc_log_grad(probs, dlogp)
+        dlogp = _sweep_adjoint(np.stack([g[0], g[1, ::-1]]), weights)
+        _acc_log_grad(probs, dlogp[0] + dlogp[1, ::-1])
 
     return ad.make_node(np.stack([prefix, suffix[::-1]]), (probs,), bw)
 

@@ -106,6 +106,12 @@ def config_from_dict(cls, raw: dict):
     return cls(**raw)
 
 
+# Incidence matrices are cached for lengths up to this bound: together
+# they take 0.7 MB, where caching every length up to 81 would pin 88 MB.
+_INCIDENCE_CACHE_LENGTHS = 24
+_INCIDENCE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _span_incidence(length: int) -> tuple[np.ndarray, np.ndarray]:
     """The +-1 incidence matrices (S, length) that map BiLSTM states to
     span features, one row per span of reordering.spans(length).
@@ -115,7 +121,10 @@ def _span_incidence(length: int) -> tuple[np.ndarray, np.ndarray]:
     features ff[j] - ff[i] and bb[i] - bb[j].  ff[0] and bb[length] are
     zero, so their columns are dropped: E_f @ fwd and E_b @ bwd are the
     two feature blocks, with fwd and bwd the (length, H) state rows.
+    The arrays are read-only, and cached up to _INCIDENCE_CACHE_LENGTHS.
     """
+    if length in _INCIDENCE:
+        return _INCIDENCE[length]
     span_list = reordering.spans(length)
     left, right = np.fromiter(itertools.chain.from_iterable(span_list), np.intp,
                               2 * len(span_list)).reshape(-1, 2).T
@@ -123,7 +132,11 @@ def _span_incidence(length: int) -> tuple[np.ndarray, np.ndarray]:
     e = np.zeros((2, rows.size, length + 1))
     e[0, rows, right] = e[1, rows, left] = 1.0
     e[0, rows, left] = e[1, rows, right] = -1.0
-    return e[0, :, 1:], e[1, :, :-1]
+    e.setflags(write=False)
+    incidence = e[0, :, 1:], e[1, :, :-1]
+    if length <= _INCIDENCE_CACHE_LENGTHS:
+        _INCIDENCE[length] = incidence
+    return incidence
 
 
 @dataclass

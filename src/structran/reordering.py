@@ -91,12 +91,12 @@ def _chart_posteriors(scores: np.ndarray, length: int):
 
     Z is the dense (length+1, length) inside chart: Z[w, i] is the log
     inside value of span (i, i+w) for i <= length-w, and zero elsewhere.
-    po[w][i] is the (straight, inverted) posterior of that span and
-    ps[w][c-1][i] the posterior of its split at i+c.
+    po[k] is the (straight, inverted) posterior of span k of
+    spans(length), and ps[w][c-1][i] the posterior of the split at i+c of
+    span (i, i+w).
     """
-    orient_lse, orient_post = ad.lse_softmax(scores, axis=1)
+    orient_lse, po = ad.lse_softmax(scores, axis=1)
     Z = np.zeros((length + 1, length))
-    po: list[np.ndarray | None] = [None, None]
     ps: list[np.ndarray | None] = [None, None]
     offset = 0
     for w in range(2, length + 1):
@@ -104,7 +104,6 @@ def _chart_posteriors(scores: np.ndarray, length: int):
         left, right = _split_views(Z, w)
         a, split_post = ad.lse_softmax(left + right, axis=0)
         Z[w, :n_w] = a[0] + orient_lse[offset:offset + n_w, 0]
-        po.append(orient_post[offset:offset + n_w])
         ps.append(split_post)
         offset += n_w
     return Z, po, ps
@@ -130,11 +129,14 @@ def expected_permutation(ss: SpanScores) -> Node:
     _, po, ps = _chart_posteriors(scores, length)
 
     # q[w][c-1, i] = P(split at i+c, (straight, inverted) | span (i, i+w))
-    q = [None, None] + [ps[w][:, :, None] * po[w] for w in range(2, length + 1)]
+    q: list[np.ndarray | None] = [None] * (length + 1)
     O = np.zeros((length + 1, length, length))
     O[length, 0, 0] = 1.0
+    off = len(scores)
     for w in range(length, 1, -1):
         n = length - w + 1
+        off -= n
+        q[w] = ps[w][:, :, None] * po[off:off + n]
         ow = O[w, :n, :n]
         qs = q[w][:, :, 0, None] * ow
         qi = q[w][:, :, 1, None] * ow
@@ -145,40 +147,38 @@ def expected_permutation(ss: SpanScores) -> Node:
         left_i += qi
 
     def bw(groot):
-        # bottom-up: adjoints of O and of the branch posteriors q
+        # bottom-up: adjoints of O and of the branch posteriors q; every
+        # JVP that does not read dZ is taken here, the split one centred
         dO = np.zeros_like(O)
         dO[1] = groot
-        dq = [None, None]
+        dps_c: list[np.ndarray | None] = [None, None]
+        dpo = np.empty_like(scores)  # width-major, like scores
+        off = 0
         for w in range(2, length + 1):
             n = length - w + 1
             ow = O[w, :n, :n]
             left_s, right_s, right_i, left_i = _split_views(dO, w)
-            gs = left_s + right_s
-            gi = right_i + left_i
-            dqw = np.empty_like(q[w])
-            dqw[:, :, 0] = np.einsum("cis,is->ci", gs, ow)
-            dqw[:, :, 1] = np.einsum("cis,is->ci", gi, ow)
-            dO[w, :n, :n] = (np.einsum("ci,cis->is", q[w][:, :, 0], gs)
-                             + np.einsum("ci,cis->is", q[w][:, :, 1], gi))
-            dq.append(dqw)
+            g = np.empty((2, w - 1, n, n))  # straight, inverted
+            np.add(left_s, right_s, out=g[0])
+            np.add(right_i, left_i, out=g[1])
+            dqw = np.einsum("ocis,is->cio", g, ow)
+            dO[w, :n, :n] = np.einsum("cio,ocis->is", q[w], g)
+            dps = (dqw * po[off:off + n]).sum(axis=2)
+            dps_c.append(dps - (ps[w] * dps).sum(axis=0))
+            dpo[off:off + n] = (dqw * ps[w][:, :, None]).sum(axis=0)
+            off += n
         # top-down: z = lse_splits + lse_orient, posteriors are softmax JVPs;
         # leaves have a constant inside value, so dZ[1] is never read
         dZ = np.zeros((length + 1, length))
-        dscores = np.empty_like(scores)
-        off = len(scores)
         for w in range(length, 1, -1):
-            n = length - w + 1
-            off -= n
-            gz = dZ[w, :n]
-            dps = (dq[w] * po[w]).sum(axis=2)
-            dpo = (dq[w] * ps[w][:, :, None]).sum(axis=0)
-            dt = ps[w] * (gz + dps - (ps[w] * dps).sum(axis=0))
-            dscores[off:off + n] = po[w] * (gz[:, None] + dpo
-                                            - (po[w] * dpo).sum(axis=1, keepdims=True))
+            dt = ps[w] * (dps_c[w] + dZ[w, :length - w + 1])
             left, right = _split_views(dZ, w)
             left += dt
             right += dt
-        ad._acc(ss.scores, dscores)
+        # every span's orientation JVP at once; gz stays out of the centring
+        widths = np.arange(2, length + 1)[:, None]
+        gz = dZ[2:][widths + np.arange(length) <= length]
+        ad._acc(ss.scores, po * (dpo - (po * dpo).sum(axis=1, keepdims=True) + gz[:, None]))
 
     # a copy, so that without a tape the result does not keep all of O alive
     return ad.make_node(O[1].copy(), (ss.scores,), bw)

@@ -140,18 +140,28 @@ def extract_guidance(t: np.ndarray, src, tgt,
 
 LOSS_TERMS = ("token_nll", "length_nll", "guidance")
 
+
+def _example_label(index) -> str:
+    """How errors name an example: an origin string ("FILE: line N") as it
+    is, an int i as "example i"."""
+    if index is None:
+        return "example"
+    return index if isinstance(index, str) else f"example {index}"
+
+
 def example_loss(model: Model, source_ids, target_ids, config: TrainConfig,
                  guidance: set[tuple[int, int]] | None = None,
                  index=None) -> tuple[ad.Node, dict[str, float]]:
     """Loss node for one example, and its unweighted LOSS_TERMS as floats:
     loss = token_nll + lambda_length * length_nll + lambda_guidance * guidance,
-    where guidance is 0 without guidance pairs."""
+    where guidance is 0 without guidance pairs.  An infeasible target
+    length raises DatasetError naming the example by `index` (an int or
+    an origin string)."""
     target_ids = np.asarray(target_ids, dtype=np.intp)
     try:
         st, probs = model.transduce(source_ids, len(target_ids), target_ids)
     except fertility.InfeasibleLengthError as exc:
-        label = "example" if index is None else f"example {index}"
-        raise DatasetError(f"{label}: {exc}") from exc
+        raise DatasetError(f"{_example_label(index)}: {exc}") from exc
     picks = ad.slice_(probs, (np.arange(len(target_ids)), target_ids))
     loss = -ad.sum_(ad.log(picks))
     terms = {"token_nll": float(loss.value),
@@ -217,17 +227,23 @@ def clip_gradients(store: ad.ParameterStore, max_norm: float) -> float:
 
 def train_step(model: Model, optimizer: Adam, config: TrainConfig, source_ids,
                target_ids, guidance, *, epoch: int,
-               index: int) -> tuple[dict[str, float], float]:
+               index: int | str) -> tuple[dict[str, float], float]:
     """One Adam update on one example; returns its "train_loss" and
     unweighted LOSS_TERMS, and the global gradient norm before clipping.
-    A non-finite loss raises TrainingError, naming the epoch and the
-    example, before any backward pass."""
+    A non-finite loss, or a forward pass that fails a domain check (NaN
+    weights give a NaN fertility table, which FertilityTable rejects),
+    raises TrainingError, naming the epoch and the example, before any
+    backward pass."""
     model.store.zero_grads()
-    loss, terms = example_loss(model, source_ids, target_ids, config,
-                               guidance, index=index)
+    where = f"epoch {epoch}, {_example_label(index)}"
+    try:
+        loss, terms = example_loss(model, source_ids, target_ids, config,
+                                   guidance, index=index)
+    except ad.DomainError as exc:
+        raise TrainingError(f"{where}: {exc}") from exc
     value = float(loss.value)
     if not np.isfinite(value):
-        raise TrainingError(f"non-finite loss at epoch {epoch}, example {index}")
+        raise TrainingError(f"non-finite loss at {where}")
     ad.backward(loss)
     norm = clip_gradients(model.store, config.clip_norm)
     optimizer.step()
@@ -295,12 +311,13 @@ def exact_match(model: Model, pairs) -> ExactMatch:
 
 
 def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
-          metrics_path=None, log=None) -> TrainResult:
+          metrics_path=None, log=None, origins=None) -> TrainResult:
     """Seeded per-example Adam training with a best-dev snapshot.
 
     train_pairs and dev_pairs hold (source_ids, target_ids) arrays.  The
     model is left holding the weights of its best dev epoch.  Raises
-    TrainingError on a non-finite loss.
+    TrainingError on a non-finite loss.  Errors name train pair i by
+    origins[i] ("FILE: line N") when that is given, else by i.
     """
     rng = random.Random(config.seed)
     optimizer = Adam(model.store, config)
@@ -312,6 +329,7 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
             extract_guidance(table, src, tgt, config.posterior_threshold)
             for src, tgt in train_pairs
         ]
+    origins = origins or [None] * len(train_pairs)
     order = list(range(len(train_pairs)))
     # epochs >= 1 and every dev rate is >= 0, so the first epoch sets best_state
     best_dev, best_epoch = -1.0, -1
@@ -329,7 +347,8 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
             for idx in order:
                 losses, norm = train_step(
                     model, optimizer, config, *train_pairs[idx],
-                    guidance_sets[idx] if guided else None, epoch=epoch, index=idx)
+                    guidance_sets[idx] if guided else None, epoch=epoch,
+                    index=origins[idx] or idx)
                 grad_norms.append(norm)
                 for key, value in losses.items():
                     sums[key] += value

@@ -1,5 +1,6 @@
 """Tape mechanics, per-op gradients, and the parameter store."""
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -85,6 +86,25 @@ class TestForwardValues:
         assert v[0, 0] == -np.inf
         assert v[1, 0] == pytest.approx(math.log(4.0))
         np.testing.assert_allclose(w, [[0.0, 0.0], [0.25, 0.75]])
+
+    def test_lse_softmax_all_neg_inf_slices_raise_no_warning(self):
+        x = np.array([[-np.inf, -np.inf, 0.5], [-np.inf, -np.inf, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for axis in (0, None):
+                ad.lse_softmax(x, axis=axis)
+            v, w = ad.lse_softmax(x, axis=1)
+            s = ad.softmax(ad.constant(x), axis=1).value
+        np.testing.assert_array_equal(v[:, 0], [0.5, -np.inf])
+        np.testing.assert_array_equal(w, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(s, w)
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_softmax_value_is_the_lse_softmax_weights(self, axis):
+        x = np.random.default_rng(4).normal(size=(5, 7)) * 30.0
+        x[1, 2] = -np.inf
+        out = ad.softmax(ad.constant(x), axis=axis).value
+        np.testing.assert_array_equal(out, ad.lse_softmax(x, axis=axis)[1])
 
     def test_matmul_shapes(self):
         a = np.arange(6.0).reshape(2, 3)

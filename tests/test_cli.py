@@ -235,6 +235,35 @@ class TestMalformedInput:
         assert err.startswith(f"error: {corpus / 'dev.jsonl'}: line 2: ")
         assert "'source'" in err
 
+    def train_with(self, tmp_path, corpus, split, rows):
+        """Run train after rewriting one split of the corpus; it must fail
+        and write no checkpoint."""
+        write_jsonl(corpus / f"{split}.jsonl", rows)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+        rc = main(["train", "--config", str(config), "--data", str(corpus),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_train_names_the_line_of_an_unknown_dev_token(self, tmp_path, corpus,
+                                                          capsys):
+        self.train_with(tmp_path, corpus, "dev", [
+            {"source": ["b", "a"], "target": ["b", "a", "a", "b"]},
+            {"source": ["a", "q"], "target": ["a", "q", "q", "a"]}])
+        assert capsys.readouterr().err == (
+            f"error: {corpus / 'dev.jsonl'}: line 2: token 'q' not in vocabulary\n")
+
+    def test_train_names_the_line_of_an_infeasible_target(self, tmp_path, corpus,
+                                                          capsys):
+        # two source tokens with at most 2 copies each cannot give 5 outputs
+        rows = [{"source": s, "target": t} for s, t in MIRRORS]
+        rows[1]["target"] = ["b", "c", "c", "b", "b"]
+        self.train_with(tmp_path, corpus, "train", rows)
+        assert capsys.readouterr().err.startswith(
+            f"error: {corpus / 'train.jsonl'}: line 2: output length 5 has zero "
+            f"probability")
+
     def test_evaluate_rejects_a_number(self, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"
         gold = tmp_path / "gold.jsonl"

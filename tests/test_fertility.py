@@ -1,5 +1,6 @@
 """Length and copy-alignment marginals against brute-force enumeration."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,28 @@ class TestLengthTables:
         # prefix totals over all tokens == suffix totals over all tokens
         np.testing.assert_allclose(prefix[ft.n], suffix[0], atol=1e-12)
         assert prefix[ft.n].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestTableChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_rejected(self, bad):
+        with pytest.raises(ad.DomainError):
+            table([[bad, 0.5, 0.5], [0.2, 0.3, 0.5]])
+
+    def test_zero_entries_and_infeasible_lengths_raise_no_warning(self):
+        node = ad.parameter(np.array([[0.0, 0.5, 0.5], [0.3, 0.7, 0.0],
+                                      [0.0, 1.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ft = fertility.FertilityTable(node)
+            dist = fertility.length_distribution(ft).value
+            for length in (1, 5, 6):
+                with pytest.raises(fertility.InfeasibleLengthError):
+                    fertility.marginal_fertility(ft, length)
+            loss = ad.sum_(fertility.marginal_fertility(ft, 4))
+            ad.backward(loss + fertility.log_length_probability(ft, 3))
+        np.testing.assert_array_equal(dist[[0, 1, 5, 6]], 0.0)
+        assert np.isfinite(node.grad).all()
 
 
 class TestLengthDistribution:

@@ -172,6 +172,14 @@ class TestReorderingScores:
                         for i, j in reordering.spans(length)]
             np.testing.assert_array_equal(seen[-1], expected)
 
+    def test_incidence_is_cached_and_read_only(self):
+        first = md._span_incidence(6)
+        second = md._span_incidence(6)
+        assert all(a is b for a, b in zip(first, second))
+        assert not any(e.flags.writeable for e in second)
+        long = md._span_incidence(md._INCIDENCE_CACHE_LENGTHS + 1)
+        assert md._span_incidence(md._INCIDENCE_CACHE_LENGTHS + 1)[0] is not long[0]
+
 
 class TestTransduction:
     @pytest.mark.parametrize("composition", ["fertility-first", "reorder-first"])

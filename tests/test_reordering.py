@@ -35,8 +35,8 @@ def split_table(ss: reordering.SpanScores, i: int, j: int) -> np.ndarray:
     """(w-1, 2) posterior over (split, orientation) of span (i, j);
     row k-i-1 holds split point k."""
     _, po, ps = reordering._chart_posteriors(ss.scores.value, ss.length)
-    w = j - i
-    return ps[w][:, i, None] * po[w][i][None, :]
+    k = reordering.spans(ss.length).index((i, j))
+    return ps[j - i][:, i, None] * po[k][None, :]
 
 
 def score_lookup(ss: reordering.SpanScores) -> dict:
