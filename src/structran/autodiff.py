@@ -223,17 +223,21 @@ def mul(a, b) -> Node:
 
 
 def matmul(a, b) -> Node:
-    """Product of two 2-D operands."""
+    """Product of two operands of at least 2 axes each: the last two axes
+    multiply as matrices and the leading ones broadcast, as in numpy's @."""
     a, b = _wrap(a), _wrap(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul", a.shape, b.shape)
-    v = a.value @ b.value
+    try:
+        v = a.value @ b.value
+    except ValueError:
+        raise ShapeError("matmul", a.shape, b.shape)
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, g @ b.value.T)
+            _acc(a, _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape))
         if b.requires_grad:
-            _acc(b, a.value.T @ g)
+            _acc(b, _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape))
 
     return make_node(v, (a, b), bw)
 
@@ -342,8 +346,8 @@ def exp(a: Node) -> Node:
 
 def log(a: Node) -> Node:
     a = _wrap(a)
-    if np.any(a.value <= 0.0):
-        raise DomainError("log: nonpositive input")
+    if not (a.value > 0.0).all():
+        raise DomainError("log: input not positive")
     v = np.log(a.value)
 
     def bw(g):
@@ -377,7 +381,7 @@ def sigmoid(a: Node) -> Node:
 def softmax(a: Node, tau: float = 1.0, axis: int = -1) -> Node:
     """Temperature softmax along `axis`: softmax(x / tau)."""
     a = _wrap(a)
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise DomainError(f"softmax: temperature must be positive, got {tau}")
     _, v, s = _shifted_exp(a.value / tau, axis)
     v /= s
@@ -654,9 +658,6 @@ class ParameterStore:
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)

@@ -86,8 +86,10 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
          lambda r: [r((3, 4)), r((3, 1))])
     case("mul.broadcast", lambda n: _weighted(ad.mul(n[0], n[1])),
          lambda r: [r((2, 3, 4)), r(4)])
-    case("matmul.mm", lambda n: _weighted(ad.matmul(n[0], n[1])),
-         lambda r: [r((3, 4)), r((4, 2))])
+    for name, shapes in (("mm", [(3, 4), (4, 2)]), ("batched", [(3, 4, 5), (5, 2)]),
+                         ("broadcast", [(4, 1, 3), (1, 3, 2)])):
+        case(f"matmul.{name}", lambda n: _weighted(ad.matmul(n[0], n[1])),
+             lambda r: [r(shape) for shape in shapes])
     case("concat.axis1", lambda n: _weighted(ad.concat(n, axis=1)),
          lambda r: [r((3, 2)), r((3, 4)), r((3, 1))])
     case("slice.basic",

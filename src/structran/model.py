@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,6 +74,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be at least 1")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
+        if not math.isfinite(self.skip_scale):
+            raise ValueError("skip_scale must be finite")
         if self.composition not in COMPOSITION_ORDERS:
             raise ValueError(f"composition must be one of {COMPOSITION_ORDERS}")
         if self.decoder not in DECODERS:
@@ -166,7 +169,7 @@ class Structure:
     marginal: Node     # (n, length, d) fertility marginal, see marginal_fertility
     log_length: Node   # scalar log P(length | source)
     permutation: Node  # expected permutation matrix, see expected_permutation
-    mixing: Node       # (d*n, length) joint structure weights, slot-major
+    mixing: Node       # (length, n*d) joint structure weights, see mixing_weights
 
 
 class Model:
@@ -278,16 +281,12 @@ class Model:
         return fertility.FertilityTable(
             ad.softmax(logits, tau=self.config.temperature, axis=-1))
 
-    def compose_intermediate(self, prep: Prepared, marg: Node) -> Node:
-        """Expected copy sequence (length, e) under the fertility marginal F:
-        row j is sum_{i,u} F[i,j,u] (x_i + w_u)."""
-        n, length, d = marg.shape
-        slots = self.store["slot_emb"]
-        rep = np.repeat(np.arange(n), d)
-        tile = np.tile(np.arange(d), n)
-        pairs = ad.slice_(prep.embeddings, rep) + ad.slice_(slots, tile)
-        weights = ad.reshape(ad.transpose(marg, (1, 0, 2)), (length, n * d))
-        return ad.matmul(weights, pairs)
+    def compose_intermediate(self, prep: Prepared, slot_weights: Node) -> Node:
+        """Expected copy sequence (length, e) under the (length, n*d) slot
+        weights F of Structure: row i is sum_{j,u} F[i, j*d + u] (x_j + w_u)."""
+        n, e = prep.embeddings.shape
+        slots = ad.reshape(prep.embeddings, (n, 1, e)) + self.store["slot_emb"]
+        return ad.matmul(slot_weights, ad.reshape(slots, (-1, e)))
 
     def reordering_scores(self, seq: Node) -> reordering.SpanScores:
         """Orientation scores for every span of the given sequence."""
@@ -302,25 +301,25 @@ class Model:
         feats = ad.concat([ad.matmul(e_f, fwd), ad.matmul(e_b, bwd)], axis=1)
         return reordering.SpanScores(length, self._mlp("span.mlp", feats))
 
-    def mixing_weights(self, marg: Node, perm_matrix: Node) -> Node:
-        """Joint structure weights as a (d*n, length) matrix.
+    def mixing_weights(self, slot_weights: Node, perm_matrix: Node) -> Node:
+        """Joint structure weights as a (length, n*d) matrix M, from the
+        (length, n*d) fertility slot weights of Structure.
 
-        Row u*n + j at column i is the probability that output position i
-        realizes copy slot u of source token j.  Columns sum to one.
+        M[i, j*d + u] is the probability that output position i realizes
+        copy slot u of source token j.  Rows sum to one.
         """
-        n, length, d = marg.shape
         if self.config.composition == "fertility-first":
-            fm = ad.reshape(ad.transpose(marg, (2, 0, 1)), (d * n, length))
-            return ad.matmul(fm, perm_matrix)
+            return ad.matmul(ad.transpose(perm_matrix), slot_weights)
         # reorder-first: the permutation acts on source positions and the
         # fertility marginal is indexed by reordered positions
-        t = ad.matmul(perm_matrix, ad.reshape(marg, (n, length * d)))
-        t = ad.transpose(ad.reshape(t, (n, length, d)), (2, 0, 1))
-        return ad.reshape(t, (d * n, length))
+        length, n = slot_weights.shape[0], perm_matrix.shape[0]
+        mixed = ad.matmul(perm_matrix, ad.reshape(slot_weights, (length, n, -1)))
+        return ad.reshape(mixed, slot_weights.shape)
 
     def token_distributions(self, prep: Prepared,
                             ar_states: Node | None = None) -> Node:
-        """Per-slot token distributions P(y | x_j, u) as a (d, rows, n, V) table.
+        """Per-slot token distributions P(y | x_j, u) as a (rows, n*d, V)
+        table, with slot j*d + u in the order of the mixing weights.
 
         rows is 1 for the position-independent decoders and one per
         autoregressive state row otherwise.
@@ -328,33 +327,30 @@ class Model:
         cfg = self.config
         d, vocab, e = cfg.max_fertility, cfg.target_vocab, cfg.embedding_dim
         n = prep.source_ids.shape[0]
-        inp, rows = prep.context, 1
+        inp = prep.context
         if ar_states is not None:
-            rows = ar_states.shape[0]
-            inp = ad.reshape(ad.reshape(prep.context, (1, n, e))
-                             + ad.reshape(ar_states, (rows, 1, e)), (rows * n, e))
+            inp = inp + ad.reshape(ar_states, (-1, 1, e))
         feats = ad.tanh(ad.matmul(inp, ad.transpose(self.store["out.mlp.W1"]))
                         + self.store["out.mlp.b1"])
         proj = ad.reshape(self.store["out.proj"], (d * vocab, cfg.output_mlp))
-        logits = ad.reshape(ad.matmul(feats, ad.transpose(proj)), (rows * n, d, vocab))
+        logits = ad.reshape(ad.matmul(feats, ad.transpose(proj)), (-1, n * d, vocab))
         probs = ad.softmax(logits, axis=-1)
         if cfg.decoder == "copy":
-            onehot = np.zeros((n, 1, vocab))
-            onehot[np.arange(n), 0, self.copy_ids[prep.source_ids]] = 1.0
+            onehot = np.zeros((n * d, vocab))
+            onehot[np.arange(n * d), np.repeat(self.copy_ids[prep.source_ids], d)] = 1.0
             w = ad.reshape(self.store["copy.gate.w"], (cfg.output_mlp, 1))
             gate = ad.sigmoid(ad.matmul(feats, w) + self.store["copy.gate.b"])
-            gate = ad.reshape(gate, (n, d, 1))
+            gate = ad.reshape(gate, (1, n * d, 1))
             probs = gate * ad.constant(onehot) + (1.0 - gate) * probs
-        return ad.transpose(ad.reshape(probs, (rows, n, d, vocab)), (2, 0, 1, 3))
+        return probs
 
     def output_distributions(self, token_probs: Node, mixing: Node) -> Node:
-        """Mix the (d, rows, n, V) slot table into (length, V) output rows:
-        row i is sum_{u,j} mixing[u*n + j, i] * token_probs[u, r, j], with
-        r = 0 when rows is 1 and r = i otherwise."""
-        d, _, n, _ = token_probs.shape
-        length = mixing.shape[1]
-        weights = ad.transpose(ad.reshape(mixing, (d, n, length, 1)), (0, 2, 1, 3))
-        return ad.sum_(weights * token_probs, axis=(0, 2))
+        """Mix the (rows, n*d, V) slot table into (length, V) output rows
+        with one product: row i is mixing[i] @ token_probs[r], with r = 0
+        when rows is 1 and r = i otherwise."""
+        length = mixing.shape[0]
+        mixed = ad.matmul(ad.reshape(mixing, (length, 1, -1)), token_probs)
+        return ad.reshape(mixed, (length, -1))
 
     def ar_context(self, prev_ids: Sequence[int], state: Node | None = None
                    ) -> tuple[Node, Node]:
@@ -394,12 +390,14 @@ class Model:
         """The target-independent stages for one candidate output length."""
         marg = fertility.marginal_fertility(prep.fertility, length)
         log_len = fertility.log_length_probability(prep.fertility, length)
+        # the slot weights F[i, j*d + u] = marg[j, i, u], read by both stages
+        slot_weights = ad.reshape(ad.transpose(marg, (1, 0, 2)), (length, -1))
         if self.config.composition == "fertility-first":
-            inter = self.compose_intermediate(prep, marg)
+            inter = self.compose_intermediate(prep, slot_weights)
             perm = reordering.expected_permutation(self.reordering_scores(inter))
         else:
             perm = prep.permutation
-        return Structure(marg, log_len, perm, self.mixing_weights(marg, perm))
+        return Structure(marg, log_len, perm, self.mixing_weights(slot_weights, perm))
 
     def complete(self, prep: Prepared, length: int,
                  target_ids: Sequence[int] | None = None) -> tuple[Structure, Node]:
@@ -423,9 +421,9 @@ class Model:
                         token = int(np.argmax(rows[-1].value[0]))
                         ar_row, packed = self.ar_context([token], state)
                         state = ad.slice_(packed, -1)
-                    column = ad.slice_(st.mixing, (slice(None), slice(pos, pos + 1)))
                     rows.append(self.output_distributions(
-                        self.token_distributions(prep, ar_row), column))
+                        self.token_distributions(prep, ar_row),
+                        ad.slice_(st.mixing, slice(pos, pos + 1))))
                 return st, ad.concat(rows, axis=0)
             ids = np.asarray(target_ids, dtype=np.intp)
             if ids.shape != (length,):
@@ -439,8 +437,8 @@ class Model:
         return self.complete(self.prepare(source_ids), length, target_ids)
 
     def guidance_mass(self, st: Structure) -> Node:
-        """Alignment mass (n, length): P(output position i came from token j)."""
-        d = self.config.max_fertility
-        rows, length = st.mixing.shape
-        return ad.sum_(ad.reshape(st.mixing, (d, rows // d, length)), axis=0)
+        """Alignment mass (length, n): entry (i, j) is P(output position i
+        came from token j), the mixing weights summed over copy slots."""
+        length, d = st.mixing.shape[0], self.config.max_fertility
+        return ad.sum_(ad.reshape(st.mixing, (length, -1, d)), axis=2)
 

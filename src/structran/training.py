@@ -50,16 +50,19 @@ class TrainConfig:
     stop_exact_match: float | None = None
 
     def __post_init__(self):
-        if self.lambda_length < 0 or self.lambda_guidance < 0:
-            raise ValueError("loss weights must be non-negative")
+        # each range check is written so that NaN fails it
+        for name in ("lambda_length", "lambda_guidance"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
         if not 0 < self.posterior_threshold <= 1:
             raise ValueError("posterior_threshold must be in (0, 1]")
         if self.guidance_epochs < 0:
             raise ValueError("guidance_epochs must be non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise ValueError("learning_rate and clip_norm must be positive")
+        for name in ("learning_rate", "clip_norm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1)")
@@ -172,7 +175,7 @@ def example_loss(model: Model, source_ids, target_ids, config: TrainConfig,
         mass = model.guidance_mass(st)
         js = np.array([j for j, _ in guidance], dtype=np.intp)
         is_ = np.array([i for _, i in guidance], dtype=np.intp)
-        gterm = ad.sum_(ad.log(ad.slice_(mass, (js, is_))))
+        gterm = ad.sum_(ad.log(ad.slice_(mass, (is_, js))))
         terms["guidance"] = -float(gterm.value)
         loss = loss - gterm * config.lambda_guidance
     return loss, terms

@@ -111,7 +111,10 @@ class TestForwardValues:
         b = np.arange(12.0).reshape(3, 4)
         v = np.arange(3.0)
         np.testing.assert_allclose(ad.matmul(ad.constant(a), ad.constant(b)).value, a @ b)
-        for x, y in ((a, v), (v, b), (v, v)):
+        stack = np.arange(24.0).reshape(2, 4, 3)
+        np.testing.assert_allclose(ad.matmul(ad.constant(stack), ad.constant(b)).value,
+                                   stack @ b)
+        for x, y in ((a, v), (v, b), (v, v), (a, a), (stack, np.ones((3, 3, 2)))):
             with pytest.raises(ad.ShapeError, match="matmul"):
                 ad.matmul(ad.constant(x), ad.constant(y))
 
@@ -297,6 +300,14 @@ class TestPerOpGradients:
     def test_softmax_temperature_check(self):
         with pytest.raises(ad.DomainError):
             ad.softmax(ad.constant(np.zeros(2)), tau=0.0)
+
+    def test_log_rejects_nan(self):
+        with pytest.raises(ad.DomainError, match="log"):
+            ad.log(ad.constant(np.array([1.0, np.nan])))
+
+    def test_softmax_rejects_nan_temperature(self):
+        with pytest.raises(ad.DomainError, match="temperature"):
+            ad.softmax(ad.constant(np.zeros(2)), tau=float("nan"))
 
     def test_concat_gradients(self):
         rng = np.random.default_rng(2)

@@ -96,17 +96,19 @@ class TestFertilityHead:
 
 
 class TestComposeIntermediate:
-    def _hard_marginal(self, tensor):
-        return ad.constant(np.asarray(tensor, float))
+    def _slot_weights(self, marg):
+        # the (length, n*d) slot weights F[i, j*d + u] = marg[j, i, u]
+        marg = np.asarray(marg, float)
+        return ad.constant(marg.transpose(1, 0, 2).reshape(marg.shape[1], -1))
 
     def test_hard_identity_adds_first_slot(self):
         m = md.Model(tiny_config())
         prep = m.prepare([1, 2])
-        marg = self._hard_marginal(np.stack([
+        weights = self._slot_weights(np.stack([
             np.array([[1.0, 0.0], [0.0, 0.0]]),
             np.array([[0.0, 0.0], [1.0, 0.0]]),
         ]))
-        inter = m.compose_intermediate(prep, marg)
+        inter = m.compose_intermediate(prep, weights)
         slots = m.store["slot_emb"].value
         np.testing.assert_allclose(inter.value,
                                    prep.embeddings.value + slots[0], atol=1e-12)
@@ -114,8 +116,8 @@ class TestComposeIntermediate:
     def test_hard_double_copy_tags_slots(self):
         m = md.Model(tiny_config())
         prep = m.prepare([3])
-        marg = self._hard_marginal([[[1.0, 0.0], [0.0, 1.0]]])
-        inter = m.compose_intermediate(prep, marg)
+        weights = self._slot_weights([[[1.0, 0.0], [0.0, 1.0]]])
+        inter = m.compose_intermediate(prep, weights)
         x = prep.embeddings.value[0]
         slots = m.store["slot_emb"].value
         np.testing.assert_allclose(inter.value[0], x + slots[0], atol=1e-12)
@@ -125,7 +127,7 @@ class TestComposeIntermediate:
         m = md.Model(tiny_config())
         prep = m.prepare([0, 1, 4])
         marg = fertility.marginal_fertility(prep.fertility, 4)
-        inter = m.compose_intermediate(prep, marg)
+        inter = m.compose_intermediate(prep, self._slot_weights(marg.value))
         slots = m.store["slot_emb"].value
         corners = [np.linalg.norm(prep.embeddings.value[i] + slots[u])
                    for i in range(3) for u in range(2)]
@@ -195,7 +197,7 @@ class TestTransduction:
     def test_mixing_columns_normalize(self, composition):
         m = md.Model(tiny_config(composition=composition))
         st, _ = m.transduce([0, 2, 4], 4)
-        np.testing.assert_allclose(st.mixing.value.sum(axis=0), 1.0, atol=1e-9)
+        np.testing.assert_allclose(st.mixing.value.sum(axis=1), 1.0, atol=1e-9)
 
     def test_reorder_first_prepares_a_source_permutation(self):
         m = md.Model(tiny_config(composition="reorder-first"))
@@ -210,13 +212,26 @@ class TestTransduction:
         _, probs = m.transduce([3], 1)
         direct = m.token_distributions(m.prepare([3]))
         np.testing.assert_allclose(probs.value[0],
-                                   direct.value[0, 0, 0], atol=1e-12)
+                                   direct.value[0, 0], atol=1e-12)
 
     def test_copies_of_one_token_can_differ(self):
         m = md.Model(tiny_config())
         direct = m.token_distributions(m.prepare([3])).value
-        assert direct.shape == (2, 1, 1, 6)
-        assert not np.allclose(direct[0, 0, 0], direct[1, 0, 0])
+        assert direct.shape == (1, 2, 6)
+        assert not np.allclose(direct[0, 0], direct[0, 1])
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_output_rows_mix_the_slot_table(self, rows):
+        # one product for both table heights: a shared table (rows = 1)
+        # broadcasts, and a per-position table (rows = length) pairs row i
+        # with position i
+        m = md.Model(tiny_config())
+        rng = np.random.default_rng(4)
+        mixing = rng.dirichlet(np.ones(6), size=5)
+        table = rng.dirichlet(np.ones(7), size=(rows, 6))
+        out = m.output_distributions(ad.constant(table), ad.constant(mixing)).value
+        want = np.einsum("ik,ikv->iv", mixing, np.broadcast_to(table, (5, 6, 7)))
+        np.testing.assert_allclose(out, want, rtol=1e-13, atol=1e-15)
 
     def test_repeat_runs_are_bit_identical(self):
         a = md.Model(tiny_config()).transduce([0, 2, 4], 5)[1].value
@@ -227,8 +242,8 @@ class TestTransduction:
         m = md.Model(tiny_config())
         st, _ = m.transduce([0, 2, 4], 4)
         mass = m.guidance_mass(st)
-        assert mass.value.shape == (3, 4)
-        np.testing.assert_allclose(mass.value.sum(axis=0), 1.0, atol=1e-9)
+        assert mass.value.shape == (4, 3)
+        np.testing.assert_allclose(mass.value.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestCopyDecoder:
@@ -265,7 +280,7 @@ class TestAutoregressiveDecoder:
         _, probs = m.transduce([0, 1], 3, target_ids=[2, 0, 5])
         np.testing.assert_allclose(probs.value.sum(axis=1), 1.0, atol=1e-6)
         token_probs = m.token_distributions(m.prepare([0, 1]), m.ar_context([2, 0, 5])[0])
-        assert token_probs.shape == (2, 3, 2, 6)  # (d, rows, n, V), one row per state
+        assert token_probs.shape == (3, 4, 6)  # (rows, n*d, V), one row per state
 
     def test_prefix_alone_determines_each_row(self):
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))
