@@ -462,14 +462,12 @@ def _recurrence(zx: np.ndarray, wh: np.ndarray, h0=None, c0=None):
     return hs, cs, act, tanh_c
 
 
-def _recurrence_adjoint(wh, cs, act, tanh_c, dh_out, dc_out=None):
+def _recurrence_adjoint(wh, cs, act, tanh_c, dh_out):
     """Backprop through time for _recurrence, in one reverse sweep.
 
-    wh is the scaled recurrent matrix _recurrence ran with.  dh_out
-    (T, K) is the adjoint of hs[1:] and dc_out, when given, that of
-    cs[1:].  Returns the adjoints dz (T, 4K) of the unscaled
-    pre-activations of every step, and those of the start state, dh0
-    and dc0.
+    wh is the scaled recurrent matrix _recurrence ran with and dh_out
+    (T, K) the adjoint of hs[1:].  Returns the adjoints dz (T, 4K) of the
+    unscaled pre-activations of every step.
     """
     steps, width = dh_out.shape
     i, f = act[:, :width], act[:, width:2 * width]
@@ -487,24 +485,24 @@ def _recurrence_adjoint(wh, cs, act, tanh_c, dh_out, dc_out=None):
         dh = dh_out[t] + dh_next
         dc = dh * dh_to_dc[t]
         dc += dc_next
-        if dc_out is not None:
-            dc += dc_out[t]
         np.multiply(coef[t, :3], dc, out=dz[t, :3])
         np.multiply(coef[t, 3], dh, out=dz[t, 3])
         dc_next = dc * f[t]
         dh_next = wh_t @ dz[t].reshape(-1)
     dz *= _GATE_SCALE[:, None]
-    return dz.reshape(steps, 4 * width), dh_next, dc_next
+    return dz.reshape(steps, 4 * width)
 
 
-def lstm(inputs: Node, w: Node, b: Node, state: Node | None = None) -> Node:
+def lstm(inputs: Node, w: Node, b: Node,
+         state: np.ndarray | None = None) -> tuple[Node, np.ndarray]:
     """One LSTM direction over the rows of inputs (T, D) as a single op.
 
     w is (4H, D + H), the input and recurrent weights side by side, and b
     is (4H,); the gate blocks are (input, forget, cell, output).  The
-    recurrence starts from state, one (2H,) row [h_0; c_0] in the form of
-    the rows this op returns, or from zeros.  Returns (T, 2H) whose row t
-    is [h_t; c_t].
+    recurrence starts from state, a constant (2H,) array [h_0; c_0], or
+    from zeros.  Returns the node of the hidden states (T, H), row t
+    being h_t, and the array [h_T; c_T] to continue from (the start
+    state when T = 0).  No gradient flows into state.
 
     The input contributions of all steps are one matrix product, outside
     the recurrence (Appleyard et al. 2016); the backward is one reverse
@@ -518,27 +516,23 @@ def lstm(inputs: Node, w: Node, b: Node, state: Node | None = None) -> Node:
             or b.value.shape != (4 * hdim,)):
         raise ShapeError("lstm", x.shape, w.shape, b.shape)
     in_dim = x.value.shape[1]
-    start, init = (None, None), ()
+    start = ()
     if state is not None:
-        init = (_wrap(state),)
-        if init[0].shape != (2 * hdim,):
-            raise ShapeError("lstm", w.shape, init[0].shape)
-        start = init[0].value[:hdim], init[0].value[hdim:]
+        state = np.asarray(state)
+        if state.shape != (2 * hdim,):
+            raise ShapeError("lstm", w.shape, state.shape)
+        start = state[:hdim], state[hdim:]
     scale = np.repeat(_GATE_SCALE, hdim)
     wx, wh = w.value[:, :in_dim], w.value[:, in_dim:] * scale[:, None]
     hs, cs, act, tanh_c = _recurrence((x.value @ wx.T + b.value) * scale, wh, *start)
-    v = np.concatenate([hs[1:], cs[1:]], axis=1)
 
     def bw(g):
-        dz, dh0, dc0 = _recurrence_adjoint(wh, cs, act, tanh_c,
-                                           g[:, :hdim], g[:, hdim:])
+        dz = _recurrence_adjoint(wh, cs, act, tanh_c, g)
         _acc(w, np.concatenate([dz.T @ x.value, dz.T @ hs[:-1]], axis=1))
         _acc(b, dz.sum(axis=0))
         _acc(x, dz @ wx)
-        if init:
-            _acc(init[0], np.concatenate([dh0, dc0]))
 
-    return make_node(v, (x, w, b) + init, bw)
+    return make_node(hs[1:], (x, w, b), bw), np.concatenate([hs[-1], cs[-1]])
 
 
 def bilstm(inputs: Node, w_fw: Node, b_fw: Node, w_bw: Node, b_bw: Node) -> Node:
@@ -599,7 +593,7 @@ def bilstm(inputs: Node, w_fw: Node, b_fw: Node, w_bw: Node, b_bw: Node) -> Node
 
     def bw(g):
         dh_out = np.concatenate([g[:, :hdim], g[::-1, hdim:]], axis=1)
-        dz = _recurrence_adjoint(wh, cs, act, tanh_c, dh_out)[0]
+        dz = _recurrence_adjoint(wh, cs, act, tanh_c, dh_out)
         dz4 = dz.reshape(steps, 4, 2, hdim)
         dwh = [dz4[:, :, d].reshape(steps, 4 * hdim).T @ hs[:-1, d * hdim:(d + 1) * hdim]
                for d in range(2)]

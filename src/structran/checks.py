@@ -154,14 +154,8 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
              reordering.SpanScores(5, n[0]))),
          lambda r: [r((len(reordering.spans(5)), 2)) * 1.5])
 
-    def lstm(n):
-        return _weighted(ad.lstm(*n))
-
-    def lstm_arrays(r):
-        return [r((5, 2)), r((12, 5)), r(12)]  # T=5, D=2, H=3
-
-    case("lstm", lstm, lstm_arrays)
-    case("lstm.state", lstm, lambda r: lstm_arrays(r) + [r(6)])
+    case("lstm", lambda n: _weighted(ad.lstm(*n)[0]),
+         lambda r: [r((5, 2)), r((12, 5)), r(12)])  # T=5, D=2, H=3
     case("bilstm", lambda n: _weighted(ad.bilstm(*n)),
          lambda r: [r((5, 2)), r((12, 5)), r(12), r((12, 5)), r(12)])  # T=5, D=2, H=3
 

@@ -19,7 +19,7 @@ that do not depend on the output length once per source, and complete
 finishes one candidate length: the structure, then the decoder.  The
 autoregressive decoder runs its LSTM through ar_context, over the whole
 target prefix when target ids are given (teacher forcing) and otherwise
-one greedy token at a time, carrying the packed [h; c] state row.
+one greedy token at a time, carrying the [h; c] state row as a constant.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class ModelConfig:
                      "max_fertility", "decoder_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
         if not math.isfinite(self.skip_scale):
             raise ValueError("skip_scale must be finite")
         if self.composition not in COMPOSITION_ORDERS:
@@ -234,13 +234,6 @@ class Model:
 
     # -- recurrent encoders -------------------------------------------------
 
-    def _lstm(self, prefix: str, inputs: Node, state: Node | None = None) -> Node:
-        """Packed states (T, 2H) of one LSTM direction over the rows of
-        inputs: row t is [h_t; c_t].  The recurrence starts from state, one
-        such (2H,) row (zeros when omitted)."""
-        return ad.lstm(inputs, self.store[prefix + ".W"], self.store[prefix + ".b"],
-                       state)
-
     def _bilstm(self, tag: str, inputs: Node) -> Node:
         """Hidden states (T, 2H) of the BiLSTM over the rows of inputs, one
         ad.bilstm node: row t is [h_fw_t; h_bw_t], the forward state after
@@ -352,25 +345,23 @@ class Model:
         mixed = ad.matmul(ad.reshape(mixing, (length, 1, -1)), token_probs)
         return ad.reshape(mixed, (length, -1))
 
-    def ar_context(self, prev_ids: Sequence[int], state: Node | None = None
-                   ) -> tuple[Node, Node]:
-        """Run the decoder LSTM over prev_ids from state (zeros when omitted).
+    def ar_context(self, prev_ids: Sequence[int], state: np.ndarray | None = None
+                   ) -> tuple[Node, np.ndarray]:
+        """Run the decoder LSTM over prev_ids from state, a constant (2H,)
+        row [h; c] (zeros when omitted).
 
         Returns one state row per token, projected to the embedding space
         (len(prev_ids), e): the row after token t conditions the position
-        after t.  Also returns the packed (len(prev_ids), 2H) LSTM states,
-        whose last row is the state to continue from.
+        after t.  Also returns the [h; c] row to continue from.  The ids
+        are not range-checked here: complete checks target ids, and greedy
+        ids are argmaxes over the vocabulary.
         """
-        cfg = self.config
+        s = self.store
         ids = np.asarray(prev_ids, dtype=np.intp)
-        if np.any(ids < 0) or np.any(ids >= cfg.target_vocab):
-            raise ad.DomainError(
-                f"target token id outside the vocabulary of size {cfg.target_vocab}")
-        packed = self._lstm("ar", ad.slice_(self.store["emb_tgt"], ids), state)
-        rows = ad.slice_(packed, (slice(None), slice(0, cfg.decoder_hidden)))
-        if "ar.proj" in self.store:
-            rows = ad.matmul(rows, ad.transpose(self.store["ar.proj"]))
-        return rows, packed
+        rows, state = ad.lstm(ad.slice_(s["emb_tgt"], ids), s["ar.W"], s["ar.b"], state)
+        if "ar.proj" in s:
+            rows = ad.matmul(rows, ad.transpose(s["ar.proj"]))
+        return rows, state
 
     # -- orchestration ------------------------------------------------------
 
@@ -404,37 +395,40 @@ class Model:
         """Finish the forward pass for one candidate output length.
 
         Returns the Structure and the (length, target_vocab) output rows,
-        each a distribution.  The autoregressive decoder conditions position
-        i on the ids before it, and position 0 on a zero row (ar.proj has no
-        bias, so this is the projection of the zero state).  It is
-        teacher-forced on target_ids; without them it decodes greedily,
-        feeding the argmax of each row to one ar_context step.
+        each a distribution.  target_ids, when given, must hold one id in
+        [0, target_vocab) per position, for every decoder.  The
+        autoregressive decoder conditions position i on the ids before it,
+        and position 0 on a zero row (ar.proj has no bias, so this is the
+        projection of the zero state).  It is teacher-forced on target_ids;
+        without them it decodes greedily, feeding the argmax of each row to
+        one ar_context step.  The greedy loop carries the LSTM state as a
+        constant, so no gradient flows from one greedy step to the next.
         """
+        cfg = self.config
+        if target_ids is not None:
+            ids = np.asarray(target_ids, dtype=np.intp)
+            if ids.shape != (length,):
+                raise ad.UsageError("complete needs one target id per position")
+            if not ((ids >= 0) & (ids < cfg.target_vocab)).all():
+                raise ad.DomainError(
+                    f"target token id outside the vocabulary of size {cfg.target_vocab}")
         st = self.structure(prep, length)
         ar_states = None
-        if self.config.decoder == "autoregressive":
-            zero = ad.constant(np.zeros((1, self.config.embedding_dim)))
+        if cfg.decoder == "autoregressive":
+            zero = ad.constant(np.zeros((1, cfg.embedding_dim)))
             if target_ids is None:
                 rows, ar_row, state = [], zero, None
                 for pos in range(length):
                     if rows:
                         token = int(np.argmax(rows[-1].value[0]))
-                        ar_row, packed = self.ar_context([token], state)
-                        state = ad.slice_(packed, -1)
+                        ar_row, state = self.ar_context([token], state)
                     rows.append(self.output_distributions(
                         self.token_distributions(prep, ar_row),
                         ad.slice_(st.mixing, slice(pos, pos + 1))))
                 return st, ad.concat(rows, axis=0)
-            ids = np.asarray(target_ids, dtype=np.intp)
-            if ids.shape != (length,):
-                raise ad.UsageError("teacher forcing needs one target id per position")
             ar_states = ad.concat([zero, self.ar_context(ids[:-1])[0]], axis=0)
         token_probs = self.token_distributions(prep, ar_states)
         return st, self.output_distributions(token_probs, st.mixing)
-
-    def transduce(self, source_ids: Sequence[int], length: int,
-                  target_ids: Sequence[int] | None = None) -> tuple[Structure, Node]:
-        return self.complete(self.prepare(source_ids), length, target_ids)
 
     def guidance_mass(self, st: Structure) -> Node:
         """Alignment mass (length, n): entry (i, j) is P(output position i

@@ -3,6 +3,14 @@
 Everything here enumerates or perturbs directly and shares no code with the
 dynamic programs it verifies.  Guards reject inputs whose enumeration would
 exceed about 1e6 states.
+
+Only the tests call count_labeled_trees, enum_permutation_support,
+exhaustive_decode and cyk_recognizer.  They stay here, beside the oracles
+that checks.py runs, because they are the same kind of reference: brute
+force that shares no code with the fast paths.  The first two pin the
+tree enumeration behind enum_tree_expectation to closed-form counts, and
+the tests check inference.decode against exhaustive_decode and the
+grammar-constrained decode against cyk_recognizer.
 """
 from __future__ import annotations
 

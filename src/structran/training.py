@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import random
 import time
 import warnings
@@ -50,24 +51,25 @@ class TrainConfig:
     stop_exact_match: float | None = None
 
     def __post_init__(self):
-        # each range check is written so that NaN fails it
+        # each range check is written so that NaN fails it; only clip_norm
+        # may be infinite (no clipping)
         for name in ("lambda_length", "lambda_guidance"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if not 0 < self.posterior_threshold <= 1:
             raise ValueError("posterior_threshold must be in (0, 1]")
         if self.guidance_epochs < 0:
             raise ValueError("guidance_epochs must be non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        for name in ("learning_rate", "clip_norm"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("learning_rate", "adam_eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.clip_norm > 0:
+            raise ValueError("clip_norm must be positive")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ValueError("adam_eps must be positive")
         if self.stop_exact_match is not None and not 0 <= self.stop_exact_match <= 1:
             raise ValueError("stop_exact_match must be in [0, 1]")
 
@@ -162,7 +164,8 @@ def example_loss(model: Model, source_ids, target_ids, config: TrainConfig,
     an origin string)."""
     target_ids = np.asarray(target_ids, dtype=np.intp)
     try:
-        st, probs = model.transduce(source_ids, len(target_ids), target_ids)
+        st, probs = model.complete(model.prepare(source_ids), len(target_ids),
+                                   target_ids)
     except fertility.InfeasibleLengthError as exc:
         raise DatasetError(f"{_example_label(index)}: {exc}") from exc
     picks = ad.slice_(probs, (np.arange(len(target_ids)), target_ids))

@@ -42,12 +42,10 @@ def saturated_lstm_arrays(rng):
 def bilstm_by_directions(x, w_fw, b_fw, w_bw, b_bw):
     """A BiLSTM composed of two lstm nodes: the backward one runs over the
     reversed rows, and its hidden rows are reversed back."""
-    hdim = b_fw.shape[0] // 4
     reverse = slice(None, None, -1)
-    fwd = ad.lstm(x, w_fw, b_fw)
-    bwd = ad.lstm(ad.slice_(x, reverse), w_bw, b_bw)
-    return ad.concat([ad.slice_(fwd, (slice(None), slice(0, hdim))),
-                      ad.slice_(bwd, (reverse, slice(0, hdim)))], axis=1)
+    fwd = ad.lstm(x, w_fw, b_fw)[0]
+    bwd = ad.lstm(ad.slice_(x, reverse), w_bw, b_bw)[0]
+    return ad.concat([fwd, ad.slice_(bwd, reverse)], axis=1)
 
 
 class TestForwardValues:
@@ -122,24 +120,27 @@ class TestForwardValues:
         rng = np.random.default_rng(3)
         x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(16, 7)), rng.normal(size=16)
         h0, c0 = rng.normal(size=4), rng.normal(size=4)
-        out = ad.lstm(ad.constant(x), ad.constant(w), ad.constant(b)).value
-        np.testing.assert_allclose(out, lstm_per_step(x, w, b), rtol=0, atol=1e-12)
-        out = ad.lstm(ad.constant(x), ad.constant(w), ad.constant(b),
-                      ad.constant(np.concatenate([h0, c0]))).value
-        np.testing.assert_allclose(out, lstm_per_step(x, w, b, h0, c0),
-                                   rtol=0, atol=1e-12)
+        for start in (None, np.concatenate([h0, c0])):
+            out, state = ad.lstm(ad.constant(x), ad.constant(w), ad.constant(b), start)
+            want = lstm_per_step(x, w, b, *(() if start is None else (h0, c0)))
+            np.testing.assert_allclose(out.value, want[:, :4], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state, want[-1], rtol=0, atol=1e-12)
+        # the start state is a plain (2H,) array, never a tape node
+        for bad in (np.zeros(7), np.zeros((1, 8)), ad.constant(np.zeros(8))):
+            with pytest.raises(ad.ShapeError, match="lstm"):
+                ad.lstm(ad.constant(x), ad.constant(w), ad.constant(b), bad)
 
     def test_lstm_long_sequence_with_saturated_gates_stays_finite(self):
         rng = np.random.default_rng(5)
         x, w, b = saturated_lstm_arrays(rng)
-        state = ad.parameter(rng.normal(size=8))
+        start = rng.normal(size=8)
         nodes = [ad.parameter(a) for a in (x, w, b)]
-        out = ad.lstm(*nodes, state)
-        np.testing.assert_allclose(
-            out.value, lstm_per_step(x, w, b, state.value[:4], state.value[4:]),
-            rtol=0, atol=1e-12)
+        out, state = ad.lstm(*nodes, start)
+        want = lstm_per_step(x, w, b, start[:4], start[4:])
+        np.testing.assert_allclose(out.value, want[:, :4], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state, want[-1], rtol=0, atol=1e-12)
         ad.backward(ad.sum_(out * ad.constant(rng.normal(size=out.shape))))
-        for node in nodes + [state]:
+        for node in nodes:
             assert node.grad is not None and np.isfinite(node.grad).all()
 
     @pytest.mark.parametrize("steps", [1, 6, 81])
@@ -166,10 +167,11 @@ class TestForwardValues:
         # teacher forcing at output length 1 runs the decoder over no tokens
         rng = np.random.default_rng(6)
         nodes = [ad.parameter(a) for a in
-                 (np.zeros((0, 3)), rng.normal(size=(16, 7)), rng.normal(size=16),
-                  rng.normal(size=8))]
-        out = ad.lstm(*nodes)
-        assert out.shape == (0, 8)
+                 (np.zeros((0, 3)), rng.normal(size=(16, 7)), rng.normal(size=16))]
+        start = rng.normal(size=8)
+        out, state = ad.lstm(*nodes, start)
+        assert out.shape == (0, 4)
+        np.testing.assert_array_equal(state, start)
         ad.backward(ad.sum_(out))
         for node in nodes:
             assert node.grad.shape == node.shape
@@ -220,27 +222,16 @@ class TestBackward:
         assert checks.run_case("mlp", build, [w1, b1, w2, x], tol=1e-5).ok
 
     def test_lstm_rows_one_call_at_a_time_equal_one_call(self):
-        # the incremental decoder feeds one row per call, carrying [h; c]
+        # the greedy decoder feeds one row per call, carrying [h; c]
         rng = np.random.default_rng(4)
-        arrays = [rng.normal(size=(6, 3)), rng.normal(size=(16, 7)), rng.normal(size=16)]
-        upstream = rng.normal(size=(6, 8))
-
-        def run(chunked):
-            x, w, b = [ad.parameter(a) for a in arrays]
-            if not chunked:
-                out = ad.lstm(x, w, b)
-            else:
-                rows, state = [], None
-                for t in range(6):
-                    packed = ad.lstm(ad.slice_(x, slice(t, t + 1)), w, b, state)
-                    state = ad.slice_(packed, -1)
-                    rows.append(packed)
-                out = ad.concat(rows, axis=0)
-            ad.backward(ad.sum_(out * ad.constant(upstream)))
-            return [out.value, x.grad, w.grad, b.grad]
-
-        for whole, chunked in zip(run(False), run(True)):
-            np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+        x, w, b = [ad.constant(rng.normal(size=s)) for s in ((6, 3), (16, 7), 16)]
+        whole, final = ad.lstm(x, w, b)
+        rows, state = [], None
+        for t in range(6):
+            row, state = ad.lstm(ad.slice_(x, slice(t, t + 1)), w, b, state)
+            rows.append(row.value)
+        np.testing.assert_allclose(np.concatenate(rows), whole.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state, final, rtol=0, atol=1e-12)
 
     def test_no_grad_suppresses_tape(self):
         x = ad.parameter(np.ones(2))

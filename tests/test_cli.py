@@ -422,6 +422,23 @@ class TestFileErrors:
         assert capsys.readouterr().err.startswith(f"error: {config}: {key} must be ")
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("section, key", [
+        ("training", "adam_eps"), ("training", "learning_rate"),
+        ("training", "lambda_length"), ("training", "lambda_guidance"),
+        ("model", "temperature"),
+    ])
+    def test_infinite_config_value_names_the_file_and_key(
+            self, tmp_path, corpus, capsys, section, key):
+        # json reads the Infinity literal too; clip_norm alone may be infinite
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, section: {
+            **TINY_CONFIG[section], key: float("inf")}}), encoding="utf-8")
+        assert "Infinity" in config.read_text(encoding="utf-8")
+        assert main(["train", "--config", str(config), "--data", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: {key} must be ")
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("key", ["source_vocab", "target_vocab"])
     def test_vocabulary_size_in_config_names_the_file_and_key(
             self, tmp_path, corpus, capsys, key):

@@ -311,14 +311,13 @@ class TestPredictAutoregressive:
                             counted("perm", reordering.expected_permutation))
         monkeypatch.setattr(fertility, "marginal_fertility",
                             counted("marg", fertility.marginal_fertility))
-        lstm = Model._lstm
+        lstm = ad.lstm
 
-        def recorded_lstm(self, prefix, inputs, state=None):
-            if prefix == "ar":
-                steps.append(inputs.shape[0])
-            return lstm(self, prefix, inputs, state)
+        def recorded_lstm(inputs, w, b, state=None):
+            steps.append(inputs.shape[0])
+            return lstm(inputs, w, b, state)
 
-        monkeypatch.setattr(Model, "_lstm", recorded_lstm)
+        monkeypatch.setattr(ad, "lstm", recorded_lstm)
         decode(m, src, k=k)
         assert calls == {"perm": k, "marg": k}
         assert steps == [1] * sum(length - 1 for length in lengths)

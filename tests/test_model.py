@@ -187,7 +187,7 @@ class TestTransduction:
     @pytest.mark.parametrize("composition", ["fertility-first", "reorder-first"])
     def test_rows_are_distributions(self, composition):
         m = md.Model(tiny_config(composition=composition))
-        _, probs = m.transduce([0, 2, 4], 5)
+        _, probs = m.complete(m.prepare([0, 2, 4]), 5)
         p = probs.value
         assert p.shape == (5, 6)
         assert p.min() >= 0.0
@@ -196,7 +196,7 @@ class TestTransduction:
     @pytest.mark.parametrize("composition", ["fertility-first", "reorder-first"])
     def test_mixing_columns_normalize(self, composition):
         m = md.Model(tiny_config(composition=composition))
-        st, _ = m.transduce([0, 2, 4], 4)
+        st, _ = m.complete(m.prepare([0, 2, 4]), 4)
         np.testing.assert_allclose(st.mixing.value.sum(axis=1), 1.0, atol=1e-9)
 
     def test_reorder_first_prepares_a_source_permutation(self):
@@ -209,7 +209,7 @@ class TestTransduction:
         # one token, one slot, one output: structure marginals are forced
         # hard, so the output row must equal the bare token classifier
         m = md.Model(tiny_config(max_fertility=1))
-        _, probs = m.transduce([3], 1)
+        _, probs = m.complete(m.prepare([3]), 1)
         direct = m.token_distributions(m.prepare([3]))
         np.testing.assert_allclose(probs.value[0],
                                    direct.value[0, 0], atol=1e-12)
@@ -234,13 +234,13 @@ class TestTransduction:
         np.testing.assert_allclose(out, want, rtol=1e-13, atol=1e-15)
 
     def test_repeat_runs_are_bit_identical(self):
-        a = md.Model(tiny_config()).transduce([0, 2, 4], 5)[1].value
-        b = md.Model(tiny_config()).transduce([0, 2, 4], 5)[1].value
+        a, b = (m.complete(m.prepare([0, 2, 4]), 5)[1].value
+                for m in (md.Model(tiny_config()), md.Model(tiny_config())))
         np.testing.assert_array_equal(a, b)
 
     def test_guidance_mass_distributes_each_position(self):
         m = md.Model(tiny_config())
-        st, _ = m.transduce([0, 2, 4], 4)
+        st, _ = m.complete(m.prepare([0, 2, 4]), 4)
         mass = m.guidance_mass(st)
         assert mass.value.shape == (4, 3)
         np.testing.assert_allclose(mass.value.sum(axis=1), 1.0, atol=1e-9)
@@ -258,7 +258,7 @@ class TestCopyDecoder:
     def test_rows_are_distributions(self):
         m = md.Model(tiny_config(decoder="copy"),
                      copy_ids=np.array([1, 0, 3, 2, 5]))
-        p = m.transduce([0, 2, 4], 3)[1].value
+        p = m.complete(m.prepare([0, 2, 4]), 3)[1].value
         assert p.min() >= 0.0
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
@@ -268,7 +268,7 @@ class TestCopyDecoder:
                      copy_ids=copy_ids)
         zero_out(m, "copy.gate.w")
         m.store["copy.gate.b"].value[...] = 30.0  # sigmoid ~ 1
-        _, probs = m.transduce([2], 1)
+        _, probs = m.complete(m.prepare([2]), 1)
         want = np.zeros(6)
         want[copy_ids[2]] = 1.0
         np.testing.assert_allclose(probs.value[0], want, atol=1e-9)
@@ -277,28 +277,28 @@ class TestCopyDecoder:
 class TestAutoregressiveDecoder:
     def test_rows_are_distributions(self):
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))
-        _, probs = m.transduce([0, 1], 3, target_ids=[2, 0, 5])
+        _, probs = m.complete(m.prepare([0, 1]), 3, target_ids=[2, 0, 5])
         np.testing.assert_allclose(probs.value.sum(axis=1), 1.0, atol=1e-6)
         token_probs = m.token_distributions(m.prepare([0, 1]), m.ar_context([2, 0, 5])[0])
         assert token_probs.shape == (3, 4, 6)  # (rows, n*d, V), one row per state
 
     def test_prefix_alone_determines_each_row(self):
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))
-        a = m.transduce([0, 1], 3, target_ids=[2, 0, 5])[1].value
-        b = m.transduce([0, 1], 3, target_ids=[2, 4, 5])[1].value
+        a = m.complete(m.prepare([0, 1]), 3, target_ids=[2, 0, 5])[1].value
+        b = m.complete(m.prepare([0, 1]), 3, target_ids=[2, 4, 5])[1].value
         # rows see only ids before them; the last id is never fed back
         np.testing.assert_allclose(a[:2], b[:2], atol=1e-12)
         assert not np.allclose(a[2], b[2])
-        c = m.transduce([0, 1], 3, target_ids=[2, 0, 1])[1].value
+        c = m.complete(m.prepare([0, 1]), 3, target_ids=[2, 0, 1])[1].value
         np.testing.assert_allclose(a, c, atol=1e-12)
 
     def test_wrong_target_length_rejected(self):
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))
         with pytest.raises(ad.UsageError, match="one target id per position"):
-            m.transduce([0, 1], 3, target_ids=[0, 1])
+            m.complete(m.prepare([0, 1]), 3, target_ids=[0, 1])
 
     def test_out_of_vocabulary_target_rejected(self):
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))
-        with pytest.raises(ad.DomainError):
-            m.ar_context([0, 6, 1])
+        with pytest.raises(ad.DomainError, match="vocabulary of size 6"):
+            m.complete(m.prepare([0, 1]), 3, target_ids=[0, 6, 1])
 

@@ -12,13 +12,13 @@ from structran import checks, data, inference, model as md, training
 MIRROR_A = Path(__file__).resolve().parent.parent / "configs" / "mirror_a.json"
 
 
-def tiny_model(**overrides):
+def tiny_model(copy_ids=None, **overrides):
     base = dict(source_vocab=4, target_vocab=4, embedding_dim=4,
                 fertility_hidden=3, reorder_hidden=3, context_hidden=3,
                 fertility_mlp=4, span_mlp=4, output_mlp=4,
                 max_fertility=2, temperature=1.0, skip_scale=0.5, seed=3)
     base.update(overrides)
-    return md.Model(md.ModelConfig(**base))
+    return md.Model(md.ModelConfig(**base), copy_ids)
 
 
 def hand_ibm1(pairs, source_vocab, target_vocab, iterations):
@@ -128,7 +128,7 @@ class TestExampleLoss:
         cfg = training.TrainConfig(lambda_length=0.0, lambda_guidance=0.0)
         tgt = [1, 0, 3, 2]
         loss, _ = training.example_loss(m, [0, 2], tgt, cfg)
-        _, probs = m.transduce([0, 2], 4, tgt)
+        _, probs = m.complete(m.prepare([0, 2]), 4, tgt)
         want = -np.log(probs.value[np.arange(4), tgt]).sum()
         assert float(loss.value) == pytest.approx(want, abs=1e-12)
 
@@ -150,6 +150,15 @@ class TestExampleLoss:
         guided, _ = training.example_loss(m, [2, 3], [1, 0], cfg,
                                           guidance={(0, 0)})
         assert float(guided.value) > float(plain.value)
+
+    @pytest.mark.parametrize("decoder", md.DECODERS)
+    @pytest.mark.parametrize("bad_id", [-1, 4])
+    def test_target_id_outside_the_vocabulary_is_rejected(self, decoder, bad_id):
+        # in the last position, which the autoregressive decoder never feeds back
+        m = tiny_model(decoder=decoder, copy_ids=np.array([1, 0, 3, 2]))
+        cfg = training.TrainConfig(lambda_guidance=0.0)
+        with pytest.raises(ad.DomainError, match="vocabulary of size 4"):
+            training.example_loss(m, [0, 2], [1, 0, bad_id], cfg)
 
     def test_infeasible_target_length_names_the_example(self):
         m = tiny_model()
@@ -381,6 +390,9 @@ class TestConfigValidation:
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             training.TrainConfig(**{field: value})
+
+    def test_infinite_clip_norm_means_no_clipping(self):
+        assert training.TrainConfig(clip_norm=math.inf).clip_norm == math.inf
 
     def test_unknown_key_rejected(self):
         raw = training.TrainConfig().to_dict()
