@@ -125,13 +125,16 @@ def make_node(value: np.ndarray, parents: tuple, backward_fn) -> Node:
 def _acc(p: Node, g: np.ndarray) -> None:
     if not p.requires_grad:
         return
-    if p.grad is None:
+    grad = p.grad
+    if grad is not None:
+        grad += g
+    elif isinstance(p, Parameter):
+        p.grad = g  # copied into the store's gradient view
+    else:
         # the first adjoint is stored as a copy, broadcast as += would
         if g.shape != p.value.shape:
             g = np.broadcast_to(g, p.value.shape)
         p.grad = np.array(g, dtype=np.float64)
-    else:
-        p.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -172,7 +175,7 @@ def backward(root: Node) -> None:
                 stack.append(p)
     nodes.sort(key=lambda n: n._id, reverse=True)
     for node in nodes:
-        if node.grad is None or node.backward_fn is None:
+        if node.backward_fn is None or node.grad is None:
             continue
         node.backward_fn(node.grad)
 
@@ -634,20 +637,65 @@ _CKPT_MAGIC = b"STRN"
 _CKPT_VERSION = 1
 
 
+class Parameter(Node):
+    """A trainable array owned by a ParameterStore: value and grad are views
+    of the store's flat buffers.
+
+    grad reads None until the tape or a caller writes it.  Assigning an
+    array copies it into the view, broadcast as += would; assigning None
+    zeroes the view.  The array grad returns is that view, so the store's
+    zero_grads and clipping change it in place: copy it to keep it.
+    """
+
+    __slots__ = ("_grad", "_touched", "_index")
+
+    def __init__(self, value: np.ndarray, grad: np.ndarray, touched: np.ndarray,
+                 index: int):
+        self.value, self.parents, self.backward_fn = value, (), None
+        self.requires_grad, self._id = True, next(_ids)
+        self._grad, self._touched, self._index = grad, touched, index
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad if self._touched[self._index] else None
+
+    @grad.setter
+    def grad(self, g) -> None:
+        self._grad[...] = 0.0 if g is None else g
+        self._touched[self._index] = g is not None
+
+
 class ParameterStore:
-    """Named trainable arrays with deterministic ordering and binary I/O."""
+    """Named trainable arrays in one flat layout, with binary I/O.
 
-    def __init__(self):
-        self._params: dict[str, Node] = {}
+    The buffers are allocated once: `values` holds every array's entries
+    and `grads` their gradients, one contiguous run per array in the order
+    given, and each Parameter's value and grad are views of them.  The tape
+    accumulates adjoints straight into `grads`, and the optimizer, clipping
+    and snapshots each work on whole flat arrays.  A per-array flag records
+    which grads were written since the last zero_grads.
+    """
 
-    def add(self, name: str, value) -> Node:
-        if name in self._params:
-            raise UsageError(f"duplicate parameter name: {name!r}")
-        node = parameter(value)
-        self._params[name] = node
-        return node
+    def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]] = ()):
+        """Zero arrays of the given (name, shape) pairs; callers set their
+        initial values through each Parameter's value."""
+        self._layout: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        size = 0
+        for name, shape in shapes:
+            if name in self._layout:
+                raise UsageError(f"duplicate parameter name: {name!r}")
+            lo, size = size, size + math.prod(shape)
+            self._layout[name] = (lo, size, tuple(shape))
+        self._bounds = np.array([0] + [hi for _, hi, _ in self._layout.values()])
+        self.values, self.grads = np.zeros((2, size))
+        # array i's flag is entry i + 1; the sentinels at both ends stay False
+        self._touched = np.zeros(len(self._layout) + 2, dtype=bool)
+        self._params = {
+            name: Parameter(self.values[lo:hi].reshape(shape),
+                            self.grads[lo:hi].reshape(shape), self._touched, index)
+            for index, (name, (lo, hi, shape)) in enumerate(self._layout.items(), start=1)}
 
-    def __getitem__(self, name: str) -> Node:
+    def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
     def __contains__(self, name: str) -> bool:
@@ -656,19 +704,36 @@ class ParameterStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def items(self) -> Iterator[tuple[str, Node]]:
+    def items(self) -> Iterator[tuple[str, Parameter]]:
         return iter(self._params.items())
 
+    def touched_runs(self) -> list[tuple[int, int]]:
+        """The (lo, hi) ranges of the flat buffers that hold each maximal
+        run of consecutive arrays whose grad was written."""
+        edges = self._bounds[np.flatnonzero(self._touched[1:] != self._touched[:-1])]
+        return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
     def zero_grads(self) -> None:
-        for node in self._params.values():
-            node.grad = None
+        self.grads.fill(0.0)
+        self._touched.fill(False)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.value.copy() for k, v in self._params.items()}
+        """A copy of every value, by name: views of one copy of `values`."""
+        flat = self.values.copy()
+        return {name: flat[lo:hi].reshape(shape)
+                for name, (lo, hi, shape) in self._layout.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, v in arrays.items():
-            self._params[k].value[...] = v
+        """Set every value from arrays, keyed as state_arrays keys them.
+        The names must be the store's, in its order, and every shape must
+        match; nothing is written unless all of them do."""
+        if list(arrays) != self.names():
+            raise UsageError("parameter names do not match the store")
+        for name, (_, _, shape) in self._layout.items():
+            if np.shape(arrays[name]) != shape:
+                raise ShapeError("restore", np.shape(arrays[name]), shape)
+        if arrays:
+            np.concatenate([np.ravel(a) for a in arrays.values()], out=self.values)
 
     def save(self, path) -> None:
         """Binary container: magic, version, count, then per parameter
@@ -735,20 +800,10 @@ class ParameterStore:
         return out
 
     def restore(self, path) -> None:
-        """Load a checkpoint written by save(); names and shapes must match."""
-        arrays = self.read_arrays(path)
-        if list(arrays) != self.names():
-            raise UsageError("checkpoint parameter names do not match the store")
-        for name, arr in arrays.items():
-            node = self._params[name]
-            if arr.shape != node.value.shape:
-                raise ShapeError("restore", arr.shape, node.value.shape)
-            node.value[...] = arr
+        """Load a checkpoint written by save(), as load_state_arrays does."""
+        self.load_state_arrays(self.read_arrays(path))
 
 
 def global_grad_norm(store: ParameterStore) -> float:
-    total = 0.0
-    for _, node in store.items():
-        if node.grad is not None:
-            total += float((node.grad * node.grad).sum())
-    return float(np.sqrt(total))
+    """The 2-norm of all gradients: one dot product over the flat buffer."""
+    return math.sqrt(store.grads @ store.grads)

@@ -29,7 +29,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -186,51 +186,63 @@ class Model:
             if copy_ids.min() < 0 or copy_ids.max() >= config.target_vocab:
                 raise ValueError("copy id map points outside the target vocabulary")
         self.copy_ids = copy_ids
-        self.store = ParameterStore()
-        self._rng = np.random.default_rng(config.seed)
-        self._build()
+        layout = list(self._parameters())
+        self.store = ParameterStore((name, shape) for name, shape, _ in layout)
+        # weights are drawn in store order straight into the store, biases
+        # stay zero; this is rng.uniform(-INIT_SCALE, INIT_SCALE) bit for bit
+        # (numpy draws lower + range * u), in about half its time
+        rng = np.random.default_rng(config.seed)
+        for name, _, drawn in layout:
+            if drawn:
+                value = self.store[name].value
+                rng.random(out=value)
+                value *= 2 * INIT_SCALE
+                value -= INIT_SCALE
 
     # -- parameter layout ---------------------------------------------------
 
-    def _weight(self, name: str, shape: tuple) -> None:
-        self.store.add(name, self._rng.uniform(-INIT_SCALE, INIT_SCALE, shape))
-
-    def _bias(self, name: str, shape: tuple) -> None:
-        self.store.add(name, np.zeros(shape))
-
-    def _build(self) -> None:
+    def _parameters(self) -> Iterator[tuple[str, tuple, bool]]:
+        """(name, shape, drawn) of every parameter in store order: drawn
+        weights start uniform in (-INIT_SCALE, INIT_SCALE), biases at zero."""
         cfg = self.config
         e = cfg.embedding_dim
-        self._weight("emb_src", (cfg.source_vocab, e))
-        self._weight("slot_emb", (cfg.max_fertility, e))
+
+        def weight(name: str, shape: tuple) -> tuple[str, tuple, bool]:
+            return name, shape, True
+
+        def bias(name: str, shape: tuple) -> tuple[str, tuple, bool]:
+            return name, shape, False
+
+        yield weight("emb_src", (cfg.source_vocab, e))
+        yield weight("slot_emb", (cfg.max_fertility, e))
         for tag, hidden in (("fert", cfg.fertility_hidden),
                             ("reorder", cfg.reorder_hidden),
                             ("ctx", cfg.context_hidden)):
             for direction in ("fw", "bw"):
-                self._weight(f"{tag}.{direction}.W", (4 * hidden, e + hidden))
-                self._bias(f"{tag}.{direction}.b", (4 * hidden,))
+                yield weight(f"{tag}.{direction}.W", (4 * hidden, e + hidden))
+                yield bias(f"{tag}.{direction}.b", (4 * hidden,))
         if 2 * cfg.context_hidden != e:
-            self._weight("ctx.proj", (e, 2 * cfg.context_hidden))
-        self._weight("fert.mlp.W1", (cfg.fertility_mlp, 2 * cfg.fertility_hidden))
-        self._bias("fert.mlp.b1", (cfg.fertility_mlp,))
-        self._weight("fert.mlp.W2", (cfg.max_fertility + 1, cfg.fertility_mlp))
-        self._bias("fert.mlp.b2", (cfg.max_fertility + 1,))
-        self._weight("span.mlp.W1", (cfg.span_mlp, 2 * cfg.reorder_hidden))
-        self._bias("span.mlp.b1", (cfg.span_mlp,))
-        self._weight("span.mlp.W2", (2, cfg.span_mlp))
-        self._bias("span.mlp.b2", (2,))
-        self._weight("out.mlp.W1", (cfg.output_mlp, e))
-        self._bias("out.mlp.b1", (cfg.output_mlp,))
-        self._weight("out.proj", (cfg.max_fertility, cfg.target_vocab, cfg.output_mlp))
+            yield weight("ctx.proj", (e, 2 * cfg.context_hidden))
+        yield weight("fert.mlp.W1", (cfg.fertility_mlp, 2 * cfg.fertility_hidden))
+        yield bias("fert.mlp.b1", (cfg.fertility_mlp,))
+        yield weight("fert.mlp.W2", (cfg.max_fertility + 1, cfg.fertility_mlp))
+        yield bias("fert.mlp.b2", (cfg.max_fertility + 1,))
+        yield weight("span.mlp.W1", (cfg.span_mlp, 2 * cfg.reorder_hidden))
+        yield bias("span.mlp.b1", (cfg.span_mlp,))
+        yield weight("span.mlp.W2", (2, cfg.span_mlp))
+        yield bias("span.mlp.b2", (2,))
+        yield weight("out.mlp.W1", (cfg.output_mlp, e))
+        yield bias("out.mlp.b1", (cfg.output_mlp,))
+        yield weight("out.proj", (cfg.max_fertility, cfg.target_vocab, cfg.output_mlp))
         if cfg.decoder == "copy":
-            self._weight("copy.gate.w", (cfg.output_mlp,))
-            self._bias("copy.gate.b", (cfg.max_fertility,))
+            yield weight("copy.gate.w", (cfg.output_mlp,))
+            yield bias("copy.gate.b", (cfg.max_fertility,))
         if cfg.decoder == "autoregressive":
-            self._weight("emb_tgt", (cfg.target_vocab, e))
-            self._weight("ar.W", (4 * cfg.decoder_hidden, e + cfg.decoder_hidden))
-            self._bias("ar.b", (4 * cfg.decoder_hidden,))
+            yield weight("emb_tgt", (cfg.target_vocab, e))
+            yield weight("ar.W", (4 * cfg.decoder_hidden, e + cfg.decoder_hidden))
+            yield bias("ar.b", (4 * cfg.decoder_hidden,))
             if cfg.decoder_hidden != e:
-                self._weight("ar.proj", (e, cfg.decoder_hidden))
+                yield weight("ar.proj", (e, cfg.decoder_hidden))
 
     # -- recurrent encoders -------------------------------------------------
 

@@ -29,7 +29,7 @@ from .model import Model, config_from_dict
 
 
 class TrainingError(RuntimeError):
-    """Aborted training run (non-finite loss)."""
+    """Aborted training run (non-finite loss or gradient norm)."""
 
 
 @dataclass
@@ -188,7 +188,15 @@ def example_loss(model: Model, source_ids, target_ids, config: TrainConfig,
 # optimizer
 
 class Adam:
-    """Standard Adam with bias correction over a parameter store."""
+    """Standard Adam with bias correction over a parameter store.
+
+    The moments m and v are flat arrays laid out like the store's values.
+    A step moves only the arrays whose grad was written since the store's
+    last zero_grads: an array with no gradient keeps its value and its
+    moments.  Each maximal run of such arrays is one slice of the flat
+    buffers, updated in place through one scratch buffer that persists
+    between steps.
+    """
 
     def __init__(self, store: ad.ParameterStore, config: TrainConfig):
         self.store = store
@@ -196,35 +204,46 @@ class Adam:
         self.beta1 = config.beta1
         self.beta2 = config.beta2
         self.eps = config.adam_eps
-        self.m = {name: np.zeros_like(node.value) for name, node in store.items()}
-        self.v = {name: np.zeros_like(node.value) for name, node in store.items()}
+        self.m, self.v = np.zeros((2, store.values.size))
+        # two rows as long as the longest run updated so far, grown in step:
+        # allocated with the moments, they would double the optimizer's
+        # memory during set-up, when no step has run yet
+        self._scratch = np.empty((2, 0))
         self.t = 0
 
     def step(self) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, node in self.store.items():
-            g = node.grad
-            if g is None:
-                continue
-            m = self.m[name]
-            v = self.v[name]
+        values, grads = self.store.values, self.store.grads
+        for lo, hi in self.store.touched_runs():
+            if self._scratch.shape[1] < hi - lo:
+                self._scratch = np.empty((2, hi - lo))
+            g, m, v = grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            s, u = self._scratch[:, :hi - lo]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            node.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            s *= g
+            v += s
+            # value -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order
+            np.divide(v, c2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, c1, out=u)
+            u *= self.lr
+            u /= s
+            values[lo:hi] -= u
 
 
 def clip_gradients(store: ad.ParameterStore, max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm."""
+    """Scale all gradients so their global norm is at most max_norm;
+    returns the norm before clipping.  A non-finite norm leaves them as
+    they are."""
     norm = ad.global_grad_norm(store)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for _, node in store.items():
-            if node.grad is not None:
-                node.grad *= scale
+    if max_norm < norm < math.inf:
+        store.grads *= max_norm / norm
     return norm
 
 
@@ -239,7 +258,8 @@ def train_step(model: Model, optimizer: Adam, config: TrainConfig, source_ids,
     A non-finite loss, or a forward pass that fails a domain check (NaN
     weights give a NaN fertility table, which FertilityTable rejects),
     raises TrainingError, naming the epoch and the example, before any
-    backward pass."""
+    backward pass; a non-finite gradient norm raises it before the Adam
+    update, so the weights and moments stay as they were."""
     model.store.zero_grads()
     where = f"epoch {epoch}, {_example_label(index)}"
     try:
@@ -252,6 +272,8 @@ def train_step(model: Model, optimizer: Adam, config: TrainConfig, source_ids,
         raise TrainingError(f"non-finite loss at {where}")
     ad.backward(loss)
     norm = clip_gradients(model.store, config.clip_norm)
+    if not math.isfinite(norm):
+        raise TrainingError(f"non-finite gradient norm at {where}")
     optimizer.step()
     return {"train_loss": value, **terms}, norm
 

@@ -322,10 +322,10 @@ class TestPerOpGradients:
 
 class TestParameterStore:
     def _store(self):
-        store = ad.ParameterStore()
+        store = ad.ParameterStore([("layer.w", (3, 2)), ("layer.b", (3,))])
         rng = np.random.default_rng(7)
-        store.add("layer.w", rng.normal(size=(3, 2)))
-        store.add("layer.b", rng.normal(size=3))
+        store["layer.w"].value[...] = rng.normal(size=(3, 2))
+        store["layer.b"].value[...] = rng.normal(size=3)
         return store
 
     def test_round_trip(self, tmp_path):
@@ -340,9 +340,8 @@ class TestParameterStore:
             np.testing.assert_array_equal(store[name].value, arr)
 
     def test_duplicate_name_rejected(self):
-        store = self._store()
         with pytest.raises(ad.UsageError, match="duplicate"):
-            store.add("layer.w", np.zeros(1))
+            ad.ParameterStore([("layer.w", (1,)), ("layer.w", (1,))])
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -354,10 +353,38 @@ class TestParameterStore:
         store = self._store()
         path = tmp_path / "model.ckpt"
         store.save(path)
-        other = ad.ParameterStore()
-        other.add("different", np.zeros(2))
+        other = ad.ParameterStore([("different", (2,))])
         with pytest.raises(ad.UsageError):
             other.restore(path)
+
+    def test_failed_restore_leaves_the_store_unchanged(self, tmp_path):
+        store = self._store()
+        path = tmp_path / "model.ckpt"
+        ad.ParameterStore([("layer.w", (3, 2)), ("layer.b", (4,))]).save(path)
+        before = store.state_arrays()
+        with pytest.raises(ad.ShapeError, match="restore"):
+            store.restore(path)
+        for name, arr in before.items():
+            np.testing.assert_array_equal(store[name].value, arr)
+
+    def test_values_and_grads_are_views_of_the_flat_buffers(self):
+        store = self._store()
+        w, b = store["layer.w"], store["layer.b"]
+        np.testing.assert_array_equal(store.values, np.concatenate(
+            [w.value.ravel(), b.value.ravel()]))
+        assert w.grad is None and b.grad is None
+        x = ad.constant(np.ones((2, 4)))
+        ad.backward(ad.sum_(ad.matmul(w, x)))
+        # the tape wrote w's adjoint into the store; b has none
+        assert b.grad is None and store.touched_runs() == [(0, 6)]
+        np.testing.assert_array_equal(store.grads, np.r_[np.full(6, 4.0), np.zeros(3)])
+        b.grad = np.array([1.0, 2.0, 3.0])
+        assert store.touched_runs() == [(0, 9)]
+        w.grad = None
+        assert store.touched_runs() == [(6, 9)]
+        np.testing.assert_array_equal(store.grads, np.r_[np.zeros(6), 1.0, 2.0, 3.0])
+        store.zero_grads()
+        assert store.touched_runs() == [] and not store.grads.any()
 
     def test_state_arrays_are_copies(self):
         store = self._store()

@@ -1,9 +1,15 @@
 """Model wiring: encoders, structure heads, mixing, and decoder variants."""
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from structran import autodiff as ad
-from structran import fertility, model as md
+from structran import data, fertility, model as md
+
+MIRROR_A = Path(__file__).resolve().parent.parent / "configs" / "mirror_a.json"
 
 
 def tiny_config(**overrides) -> md.ModelConfig:
@@ -18,6 +24,32 @@ def tiny_config(**overrides) -> md.ModelConfig:
 def zero_out(model, *names):
     for name in names:
         model.store[name].value[...] = 0.0
+
+
+class TestCheckpoint:
+    def test_save_writes_the_documented_layout(self, tmp_path):
+        raw = json.loads(MIRROR_A.read_text(encoding="utf-8"))
+        vocab = len(data.MIRROR_ALPHABET)
+        m = md.Model(md.ModelConfig.from_dict({**raw["model"], "source_vocab": vocab,
+                                               "target_vocab": vocab}))
+        names = ["emb_src", "slot_emb"] + [
+            f"{tag}.{d}.{p}" for tag in ("fert", "reorder", "ctx")
+            for d in ("fw", "bw") for p in ("W", "b")] + [
+            "ctx.proj", "fert.mlp.W1", "fert.mlp.b1", "fert.mlp.W2", "fert.mlp.b2",
+            "span.mlp.W1", "span.mlp.b1", "span.mlp.W2", "span.mlp.b2",
+            "out.mlp.W1", "out.mlp.b1", "out.proj"]
+        assert m.store.names() == names
+        # magic, version u32, count u64, then per parameter: name length
+        # u32, utf-8 name, ndim u32, dims u64, float64 payload; little-endian
+        want = b"STRN" + struct.pack("<IQ", 1, len(names))
+        for name in names:
+            value = m.store[name].value
+            want += struct.pack("<I", len(name)) + name.encode("utf-8")
+            want += struct.pack(f"<I{value.ndim}Q", value.ndim, *value.shape)
+            want += struct.pack(f"<{value.size}d", *value.ravel().tolist())
+        path = tmp_path / "mirror_a.ckpt"
+        m.store.save(path)
+        assert path.read_bytes() == want
 
 
 class TestConfig:
@@ -67,6 +99,18 @@ class TestEncode:
         assert sorted(a) == sorted(b)
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
+
+    def test_weights_are_seeded_uniform_draws_and_biases_zero(self):
+        cfg = tiny_config(decoder="autoregressive", decoder_hidden=5)
+        rng = np.random.default_rng(cfg.seed)
+        for name, node in md.Model(cfg).store.items():
+            if name.split(".")[-1].startswith("b"):
+                np.testing.assert_array_equal(node.value, 0.0)
+            else:
+                # store order is draw order; the bits must match exactly
+                want = rng.uniform(-md.INIT_SCALE, md.INIT_SCALE, node.shape)
+                np.testing.assert_array_equal(node.value.view(np.int64),
+                                              want.view(np.int64))
 
 
 class TestFertilityHead:

@@ -213,8 +213,8 @@ class TestTape:
 
 class TestOptimizer:
     def test_first_adam_step_is_a_signed_learning_rate(self):
-        store = ad.ParameterStore()
-        store.add("w", np.array([1.0, -2.0]))
+        store = ad.ParameterStore([("w", (2,))])
+        store["w"].value[...] = [1.0, -2.0]
         cfg = training.TrainConfig(learning_rate=0.1, lambda_guidance=0.0)
         opt = training.Adam(store, cfg)
         store["w"].grad = np.array([0.5, -3.0])
@@ -224,8 +224,7 @@ class TestOptimizer:
                                    [1.0 - 0.1, -2.0 + 0.1], atol=1e-6)
 
     def test_clip_rescales_only_large_gradients(self):
-        store = ad.ParameterStore()
-        store.add("w", np.zeros(2))
+        store = ad.ParameterStore([("w", (2,))])
         store["w"].grad = np.array([3.0, 4.0])
         norm = training.clip_gradients(store, 2.5)
         assert norm == pytest.approx(5.0)
@@ -233,6 +232,85 @@ class TestOptimizer:
         store["w"].grad = np.array([0.3, 0.4])
         training.clip_gradients(store, 2.5)
         np.testing.assert_allclose(store["w"].grad, [0.3, 0.4])
+
+    def test_adam_skips_an_array_without_a_gradient(self):
+        shapes = [("a", (2,)), ("b", (3,)), ("c", (1,))]
+        store, alone = ad.ParameterStore(shapes), ad.ParameterStore(shapes[:1])
+        store.values[...] = [1.0, -2.0, 0.5, 0.25, 3.0, 4.0]
+        alone.values[...] = [1.0, -2.0]
+        cfg = training.TrainConfig(learning_rate=0.1, lambda_guidance=0.0)
+        opt, opt_alone = training.Adam(store, cfg), training.Adam(alone, cfg)
+        for name in ("a", "b", "c"):
+            store[name].grad = np.ones_like(store[name].value)
+        alone["a"].grad = np.ones(2)
+        opt.step()
+        opt_alone.step()
+        # b's moments are non-zero now; a step without its gradient keeps them
+        b = slice(2, 5)
+        kept = store["b"].value.copy(), opt.m[b].copy(), opt.v[b].copy()
+        assert np.all(kept[1] != 0.0) and np.all(kept[2] != 0.0)
+        store.zero_grads()
+        alone.zero_grads()
+        store["a"].grad = alone["a"].grad = np.array([0.5, -3.0])
+        store["c"].grad = np.array([-1.0])
+        assert store["b"].grad is None
+        assert store.touched_runs() == [(0, 2), (5, 6)]
+        c_before = store["c"].value.copy()
+        opt.step()
+        opt_alone.step()
+        np.testing.assert_array_equal(store["b"].value, kept[0])
+        np.testing.assert_array_equal(opt.m[b], kept[1])
+        np.testing.assert_array_equal(opt.v[b], kept[2])
+        np.testing.assert_array_equal(store["a"].value, alone["a"].value)
+        assert store["c"].value[0] != c_before[0]
+
+    def test_training_without_skip_leaves_every_ctx_array_unchanged(self):
+        m = tiny_model(skip_scale=0.0)
+        before = m.store.state_arrays()
+        cfg = training.TrainConfig(lambda_guidance=0.0, epochs=2, seed=0)
+        training.train(m, TestTrainLoop()._pairs(), [], cfg)
+        ctx = [name for name in before if name.startswith("ctx.")]
+        assert len(ctx) == 5
+        for name in ctx:
+            assert m.store[name].grad is None  # after the last step
+            np.testing.assert_array_equal(m.store[name].value, before[name])
+        assert not np.array_equal(m.store["out.proj"].value, before["out.proj"])
+
+    def test_reorder_first_step_on_one_token_leaves_the_span_scorer(self):
+        m = tiny_model(composition="reorder-first", skip_scale=0.0)
+        cfg = training.TrainConfig(lambda_guidance=0.0, epochs=1)
+        opt = training.Adam(m.store, cfg)
+        training.train_step(m, opt, cfg, [2, 1], [2, 1, 1, 2], None, epoch=0, index=0)
+        before = m.store.state_arrays()
+        moments = opt.m.copy(), opt.v.copy()
+        training.train_step(m, opt, cfg, [1], [1, 1], None, epoch=0, index=1)
+        # the flat buffers hold one run per array, in store order
+        names = m.store.names()
+        bounds = np.cumsum([0] + [m.store[name].value.size for name in names])
+        span = [name for name in names if name.startswith("span.")]
+        assert len(span) == 4
+        for name in span:
+            run = slice(*bounds[names.index(name):][:2])
+            assert m.store[name].grad is None
+            np.testing.assert_array_equal(m.store[name].value, before[name])
+            assert moments[0][run].any()
+            np.testing.assert_array_equal(opt.m[run], moments[0][run])
+            np.testing.assert_array_equal(opt.v[run], moments[1][run])
+        assert not np.array_equal(m.store["emb_src"].value, before["emb_src"])
+
+    def test_state_arrays_are_not_aliased_by_later_steps(self):
+        m = tiny_model()
+        cfg = training.TrainConfig(lambda_guidance=0.0, epochs=1)
+        opt = training.Adam(m.store, cfg)
+        snap = m.store.state_arrays()
+        kept = {name: arr.copy() for name, arr in snap.items()}
+        src = np.array([0, 2, 1])
+        for index in range(2):
+            training.train_step(m, opt, cfg, src, np.concatenate([src, src[::-1]]),
+                                None, epoch=0, index=index)
+        for name, arr in snap.items():
+            np.testing.assert_array_equal(arr, kept[name])
+        assert not np.array_equal(m.store["out.proj"].value, snap["out.proj"])
 
 
 class TestTrainLoop:
@@ -267,6 +345,29 @@ class TestTrainLoop:
         cfg = training.TrainConfig(lambda_guidance=0.0, epochs=2)
         with pytest.raises(training.TrainingError, match=r"epoch 0, example \d"):
             training.train(m, self._pairs(), [], cfg)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gradient_norm_aborts_before_the_update(self, monkeypatch,
+                                                                bad):
+        m = tiny_model()
+        cfg = training.TrainConfig(lambda_guidance=0.0, epochs=1)
+        opt = training.Adam(m.store, cfg)
+        before = m.store.state_arrays()
+        backward = ad.backward
+
+        def poisoned(root):
+            backward(root)
+            m.store["out.proj"].grad[0, 0, 0] = bad
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        src = np.array([0, 2, 1])
+        with pytest.raises(training.TrainingError,
+                           match="non-finite gradient norm at epoch 3, example 7"):
+            training.train_step(m, opt, cfg, src, np.concatenate([src, src[::-1]]),
+                                None, epoch=3, index=7)
+        for name, arr in before.items():
+            np.testing.assert_array_equal(m.store[name].value, arr)
+        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
 
     def test_metrics_file_mirrors_the_returned_log(self, tmp_path):
         m = tiny_model()
