@@ -676,7 +676,7 @@ class ParameterStore:
     which grads were written since the last zero_grads.
     """
 
-    def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]] = ()):
+    def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]]):
         """Zero arrays of the given (name, shape) pairs; callers set their
         initial values through each Parameter's value."""
         self._layout: dict[str, tuple[int, int, tuple[int, ...]]] = {}

@@ -190,7 +190,7 @@ class Model:
         self.store = ParameterStore((name, shape) for name, shape, _ in layout)
         # weights are drawn in store order straight into the store, biases
         # stay zero; this is rng.uniform(-INIT_SCALE, INIT_SCALE) bit for bit
-        # (numpy draws lower + range * u), in about half its time
+        # (numpy draws lower + range * u), in about two thirds of its time
         rng = np.random.default_rng(config.seed)
         for name, _, drawn in layout:
             if drawn:
