@@ -427,6 +427,20 @@ def _shifted_exp(x: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray, np.ndarra
 # sigmoid(z) = tanh(z / 2) / 2 + 1 / 2, so tanh(s * z) * s + (1 - s) is the
 # activation of every gate, one tanh for all four.  Scaling by s is exact.
 _GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])
+_GATE_SCALES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _gate_scale(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-unit scale s (4 * width,), _GATE_SCALE[g] repeated over the
+    width units of gate g, and the shift 1 - s.  Read-only, built once
+    per width."""
+    if width not in _GATE_SCALES:
+        scale = np.repeat(_GATE_SCALE, width)
+        shift = 1.0 - scale
+        scale.setflags(write=False)
+        shift.setflags(write=False)
+        _GATE_SCALES[width] = scale, shift
+    return _GATE_SCALES[width]
 
 
 def _recurrence(zx: np.ndarray, wh: np.ndarray, h0=None, c0=None):
@@ -444,8 +458,7 @@ def _recurrence(zx: np.ndarray, wh: np.ndarray, h0=None, c0=None):
     the cell states (T, K).
     """
     steps, width = zx.shape[0], wh.shape[1]
-    scale = np.repeat(_GATE_SCALE, width)
-    shift = 1.0 - scale
+    scale, shift = _gate_scale(width)
     hs, cs = np.zeros((steps + 1, width)), np.zeros((steps + 1, width))
     if h0 is not None:
         hs[0], cs[0] = h0, c0
@@ -525,7 +538,7 @@ def lstm(inputs: Node, w: Node, b: Node,
         if state.shape != (2 * hdim,):
             raise ShapeError("lstm", w.shape, state.shape)
         start = state[:hdim], state[hdim:]
-    scale = np.repeat(_GATE_SCALE, hdim)
+    scale = _gate_scale(hdim)[0]
     wx, wh = w.value[:, :in_dim], w.value[:, in_dim:] * scale[:, None]
     hs, cs, act, tanh_c = _recurrence((x.value @ wx.T + b.value) * scale, wh, *start)
 
@@ -589,8 +602,7 @@ def bilstm(inputs: Node, w_fw: Node, b_fw: Node, w_bw: Node, b_bw: Node) -> Node
         wh[:, d, :, d] = (w.value[:, in_dim:].reshape(4, hdim, hdim)
                           * _GATE_SCALE[:, None, None])
     wh = wh.reshape(4 * width, width)
-    zx = (x.value @ wx.T + interleave(b_fw.value, b_bw.value)) \
-        * np.repeat(_GATE_SCALE, width)
+    zx = (x.value @ wx.T + interleave(b_fw.value, b_bw.value)) * _gate_scale(width)[0]
     hs, cs, act, tanh_c = _recurrence(reverse_backward_steps(zx), wh)
     v = np.concatenate([hs[1:, :hdim], hs[:0:-1, hdim:]], axis=1)
 

@@ -210,6 +210,10 @@ def model_cases() -> list[tuple[str, Model, Callable]]:
         ("model.autoregressive",
          Model(_tiny_config(decoder="autoregressive", decoder_hidden=4)),
          loss_plain),
+        # decoder_hidden == embedding_dim: no ar.proj, the LSTM rows meet W1
+        ("model.autoregressive.square",
+         Model(_tiny_config(decoder="autoregressive", decoder_hidden=3)),
+         loss_plain),
     ]
     return cases
 

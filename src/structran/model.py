@@ -15,11 +15,15 @@ per-(source token, copy slot) output distributions with the joint
 structure weights either way.
 
 Model is the one place that wires these stages.  prepare runs the stages
-that do not depend on the output length once per source, and complete
-finishes one candidate length: the structure, then the decoder.  The
-autoregressive decoder runs its LSTM through ar_context, over the whole
-target prefix when target ids are given (teacher forcing) and otherwise
-one greedy token at a time, carrying the [h; c] state row as a constant.
+that do not depend on the output length once per source, together with
+the output head's terms that depend only on the source or the weights,
+and complete finishes one candidate length: the structure, then the
+decoder.  The autoregressive decoder runs its LSTM through ar_context,
+over the whole target prefix when target ids are given (teacher forcing)
+and otherwise one greedy token at a time, carrying the [h; c] state row
+as a constant.  Both emit through token_distributions and one
+output_distributions call; they differ only in where the LSTM rows come
+from.
 """
 
 from __future__ import annotations
@@ -151,6 +155,11 @@ class Prepared:
     context: Node             # h', the rows the decoder conditions on
     fertility: fertility.FertilityTable
     permutation: Node | None  # (n, n) source permutation, reorder-first only
+    # the output head's terms that do not depend on the AR row, see
+    # Model.token_distributions
+    head: Node                # (n, m) source term context W1^T + b1
+    proj: Node                # (m, d*V) out.proj, column u*V + y
+    ar_head: Node | None      # (H, m) LSTM row into the MLP, autoregressive only
 
     @property
     def length_probs(self) -> Node:
@@ -327,18 +336,19 @@ class Model:
         table, with slot j*d + u in the order of the mixing weights.
 
         rows is 1 for the position-independent decoders and one per
-        autoregressive state row otherwise.
+        decoder LSTM row (rows, H) of ar_states otherwise.  The output MLP
+        is affine in the AR row before its tanh, so its hidden layer is
+        tanh(head + ar_states ar_head) with both terms built in prepare.
         """
         cfg = self.config
-        d, vocab, e = cfg.max_fertility, cfg.target_vocab, cfg.embedding_dim
+        d, vocab = cfg.max_fertility, cfg.target_vocab
         n = prep.source_ids.shape[0]
-        inp = prep.context
+        pre = prep.head
         if ar_states is not None:
-            inp = inp + ad.reshape(ar_states, (-1, 1, e))
-        feats = ad.tanh(ad.matmul(inp, ad.transpose(self.store["out.mlp.W1"]))
-                        + self.store["out.mlp.b1"])
-        proj = ad.reshape(self.store["out.proj"], (d * vocab, cfg.output_mlp))
-        logits = ad.reshape(ad.matmul(feats, ad.transpose(proj)), (-1, n * d, vocab))
+            ar_term = ad.matmul(ar_states, prep.ar_head)
+            pre = pre + ad.reshape(ar_term, (-1, 1, cfg.output_mlp))
+        feats = ad.tanh(pre)
+        logits = ad.reshape(ad.matmul(feats, prep.proj), (-1, n * d, vocab))
         probs = ad.softmax(logits, axis=-1)
         if cfg.decoder == "copy":
             onehot = np.zeros((n * d, vocab))
@@ -362,18 +372,15 @@ class Model:
         """Run the decoder LSTM over prev_ids from state, a constant (2H,)
         row [h; c] (zeros when omitted).
 
-        Returns one state row per token, projected to the embedding space
-        (len(prev_ids), e): the row after token t conditions the position
-        after t.  Also returns the [h; c] row to continue from.  The ids
-        are not range-checked here: complete checks target ids, and greedy
-        ids are argmaxes over the vocabulary.
+        Returns the LSTM rows (len(prev_ids), H), which token_distributions
+        reads: the row after token t conditions the position after t.
+        Also returns the [h; c] row to continue from.  The ids are not
+        range-checked here: complete checks target ids, and greedy ids are
+        argmaxes over the vocabulary.
         """
         s = self.store
         ids = np.asarray(prev_ids, dtype=np.intp)
-        rows, state = ad.lstm(ad.slice_(s["emb_tgt"], ids), s["ar.W"], s["ar.b"], state)
-        if "ar.proj" in s:
-            rows = ad.matmul(rows, ad.transpose(s["ar.proj"]))
-        return rows, state
+        return ad.lstm(ad.slice_(s["emb_tgt"], ids), s["ar.W"], s["ar.b"], state)
 
     # -- orchestration ------------------------------------------------------
 
@@ -381,13 +388,24 @@ class Model:
         """Run every length-independent stage once per source: the fertility
         head reads x in the fertility-first order and P^T x in the
         reorder-first order."""
+        cfg, s = self.config, self.store
         ids = np.asarray(source_ids, dtype=np.intp)
         x, context = self.encode(ids)
         rows, perm = x, None
-        if self.config.composition == "reorder-first":
+        if cfg.composition == "reorder-first":
             perm = reordering.expected_permutation(self.reordering_scores(x))
             rows = ad.matmul(ad.transpose(perm), x)
-        return Prepared(ids, x, context, self.fertility_head(rows), perm)
+        w1_t = ad.transpose(s["out.mlp.W1"])
+        head = ad.matmul(context, w1_t) + s["out.mlp.b1"]
+        proj = ad.transpose(ad.reshape(
+            s["out.proj"], (cfg.max_fertility * cfg.target_vocab, cfg.output_mlp)))
+        ar_head = None
+        if cfg.decoder == "autoregressive":
+            # ar.proj has no bias, so it folds into W1: (W1 ar.proj)^T
+            ar_head = (ad.transpose(ad.matmul(s["out.mlp.W1"], s["ar.proj"]))
+                       if "ar.proj" in s else w1_t)
+        return Prepared(ids, x, context, self.fertility_head(rows), perm,
+                        head, proj, ar_head)
 
     def structure(self, prep: Prepared, length: int) -> Structure:
         """The target-independent stages for one candidate output length."""
@@ -409,12 +427,15 @@ class Model:
         Returns the Structure and the (length, target_vocab) output rows,
         each a distribution.  target_ids, when given, must hold one id in
         [0, target_vocab) per position, for every decoder.  The
-        autoregressive decoder conditions position i on the ids before it,
-        and position 0 on a zero row (ar.proj has no bias, so this is the
-        projection of the zero state).  It is teacher-forced on target_ids;
-        without them it decodes greedily, feeding the argmax of each row to
-        one ar_context step.  The greedy loop carries the LSTM state as a
-        constant, so no gradient flows from one greedy step to the next.
+        autoregressive decoder conditions position i on the LSTM row after
+        the ids before it, and position 0 on the zero start row.  It is
+        teacher-forced on target_ids.  Without them it decodes greedily:
+        each step appends its (1, n*d, V) slot table and feeds the argmax
+        of mixing[pos] @ table, taken on plain values, to one ar_context
+        step; the rows then come from one output_distributions call over
+        all the tables, the call teacher forcing makes.  The greedy loop
+        carries the LSTM state as a constant, so no gradient flows from one
+        greedy step to the next.
         """
         cfg = self.config
         if target_ids is not None:
@@ -427,17 +448,16 @@ class Model:
         st = self.structure(prep, length)
         ar_states = None
         if cfg.decoder == "autoregressive":
-            zero = ad.constant(np.zeros((1, cfg.embedding_dim)))
+            zero = ad.constant(np.zeros((1, cfg.decoder_hidden)))
             if target_ids is None:
-                rows, ar_row, state = [], zero, None
+                mixing = st.mixing.value
+                tables, ar_row, state = [], zero, None
                 for pos in range(length):
-                    if rows:
-                        token = int(np.argmax(rows[-1].value[0]))
+                    if tables:
+                        token = int(np.argmax(mixing[pos - 1] @ tables[-1].value[0]))
                         ar_row, state = self.ar_context([token], state)
-                    rows.append(self.output_distributions(
-                        self.token_distributions(prep, ar_row),
-                        ad.slice_(st.mixing, slice(pos, pos + 1))))
-                return st, ad.concat(rows, axis=0)
+                    tables.append(self.token_distributions(prep, ar_row))
+                return st, self.output_distributions(ad.concat(tables, axis=0), st.mixing)
             ar_states = ad.concat([zero, self.ar_context(ids[:-1])[0]], axis=0)
         token_probs = self.token_distributions(prep, ar_states)
         return st, self.output_distributions(token_probs, st.mixing)

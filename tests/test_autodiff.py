@@ -163,6 +163,32 @@ class TestForwardValues:
         for fused, composed in zip(run(ad.bilstm), run(bilstm_by_directions)):
             np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
 
+    def test_gate_scales_are_built_once_per_width_and_read_only(self, monkeypatch):
+        monkeypatch.setattr(ad, "_GATE_SCALES", {})
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(5, 3))
+        arrays = [rng.normal(size=s) for s in ((16, 7), 16, (16, 7), 16)]
+        upstream = rng.normal(size=(5, 8))
+
+        def run():
+            nodes = [ad.parameter(a) for a in [x] + arrays]
+            out, state = ad.lstm(*nodes[:3])
+            both = ad.bilstm(*nodes)
+            ad.backward(ad.sum_(out * ad.constant(upstream[:, :4]))
+                        + ad.sum_(both * ad.constant(upstream)))
+            return [out.value, state, both.value] + [node.grad for node in nodes]
+
+        cold = run()
+        assert sorted(ad._GATE_SCALES) == [4, 8]  # lstm width H, bilstm width 2H
+        cached = dict(ad._GATE_SCALES)
+        for got, want in zip(run(), cold):
+            np.testing.assert_array_equal(got, want)
+        for width, (scale, shift) in ad._GATE_SCALES.items():
+            assert ad._gate_scale(width)[0] is cached[width][0] is scale
+            np.testing.assert_array_equal(scale, np.repeat(ad._GATE_SCALE, width))
+            np.testing.assert_array_equal(shift, 1.0 - np.repeat(ad._GATE_SCALE, width))
+            assert not scale.flags.writeable and not shift.flags.writeable
+
     def test_lstm_over_no_rows_is_empty_with_zero_gradients(self):
         # teacher forcing at output length 1 runs the decoder over no tokens
         rng = np.random.default_rng(6)

@@ -233,9 +233,9 @@ class TestPredictGrammar:
 
 
 class TestPredictAutoregressive:
-    def ar_model(self, seed=0, sharp=False, **overrides):
-        m = small_model(seed=seed, decoder="autoregressive", decoder_hidden=4,
-                        **overrides)
+    def ar_model(self, seed=0, sharp=False, decoder_hidden=4, **overrides):
+        m = small_model(seed=seed, decoder="autoregressive",
+                        decoder_hidden=decoder_hidden, **overrides)
         if sharp:
             m.store["out.proj"].value *= 50.0
         return m
@@ -290,6 +290,19 @@ class TestPredictAutoregressive:
             score = float(st.log_length.value
                           + np.log(probs[np.arange(got.length), ys]).sum())
             assert abs(got.log_score - score) <= 1e-12
+
+    @pytest.mark.parametrize("composition", ["fertility-first", "reorder-first"])
+    @pytest.mark.parametrize("hidden", [4, 5])  # equal to embedding_dim, or not
+    def test_greedy_rows_equal_teacher_forced_rows(self, composition, hidden):
+        rng = np.random.default_rng(hidden)
+        for n in range(1, 7):
+            m = self.ar_model(seed=n, composition=composition, decoder_hidden=hidden)
+            src = [int(t) for t in rng.integers(0, 4, size=n)]
+            got = decode(m, src, k=2)
+            assert got.tokens == np.argmax(got.distributions, axis=1).tolist()
+            with ad.no_grad():
+                _, probs = m.complete(m.prepare(src), got.length, got.tokens)
+            np.testing.assert_allclose(got.distributions, probs.value, rtol=0, atol=1e-15)
 
     def test_structure_is_built_once_per_candidate_length(self, monkeypatch):
         m = self.ar_model(seed=4, sharp=True)

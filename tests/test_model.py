@@ -290,6 +290,76 @@ class TestTransduction:
         np.testing.assert_allclose(mass.value.sum(axis=1), 1.0, atol=1e-9)
 
 
+def head_oracle(m: md.Model, prep: md.Prepared, h=None) -> np.ndarray:
+    """Plain-numpy slot table: softmax(tanh((context + h ar.proj^T) W1^T + b1)
+    proj^T) per (source token, copy slot), mixed with the copy gate for the
+    copy decoder; h holds decoder LSTM rows (rows, H), or None for none."""
+    s, cfg = m.store, m.config
+    inp = prep.context.value[None]
+    if h is not None:
+        h_emb = h @ s["ar.proj"].value.T if "ar.proj" in s else h
+        inp = inp + h_emb[:, None, :]
+    feats = np.tanh(inp @ s["out.mlp.W1"].value.T + s["out.mlp.b1"].value)
+    logits = np.einsum("rjm,uym->rjuy", feats, s["out.proj"].value)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    if cfg.decoder == "copy":
+        gate = 1.0 / (1.0 + np.exp(-(feats @ s["copy.gate.w"].value[:, None]
+                                     + s["copy.gate.b"].value)))
+        copied = np.zeros_like(probs)
+        for j, src in enumerate(prep.source_ids):
+            copied[:, j, :, m.copy_ids[src]] = 1.0
+        probs = gate[..., None] * copied + (1.0 - gate[..., None]) * probs
+    return probs.reshape(probs.shape[0], -1, cfg.target_vocab)
+
+
+class TestOutputHead:
+    @pytest.mark.parametrize("decoder,hidden,rows", [
+        ("independent", 4, 0), ("copy", 4, 0), ("autoregressive", 4, 0),
+        ("autoregressive", 4, 3), ("autoregressive", 5, 0), ("autoregressive", 5, 3)])
+    def test_split_head_matches_the_unsplit_formula(self, decoder, hidden, rows):
+        # decoder_hidden 4 == embedding_dim leaves out ar.proj, 5 keeps it
+        m = md.Model(tiny_config(decoder=decoder, decoder_hidden=hidden),
+                     copy_ids=np.array([1, 0, 3, 2, 5]))
+        for name, p in m.store.items():  # biases away from zero
+            p.value[...] = np.random.default_rng(len(name)).normal(0.0, 0.5, p.shape)
+        prep = m.prepare([0, 2, 4, 1])
+        assert ("ar.proj" in m.store) == (decoder == "autoregressive" and hidden == 5)
+        h = None
+        if rows:
+            h = np.random.default_rng(2).normal(size=(rows, hidden))
+        got = m.token_distributions(prep, None if h is None else ad.constant(h)).value
+        assert got.shape == (max(rows, 1), 8, 6)
+        np.testing.assert_allclose(got, head_oracle(m, prep, h), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("composition", md.COMPOSITION_ORDERS)
+    @pytest.mark.parametrize("hidden", [4, 5])
+    def test_greedy_step_node_budget(self, composition, hidden, monkeypatch):
+        # a greedy step is one ar_context (row lookup, lstm) and one
+        # token_distributions (AR product, reshape, add, tanh, product,
+        # reshape, softmax); the one concat and output product are per decode
+        m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=hidden,
+                                 composition=composition))
+        prep = m.prepare([0, 2, 4, 1])
+        with ad.no_grad():
+            m.complete(prep, 1)  # the fertility table caches its DP tables
+        made = [0]
+        make_node = ad.make_node
+
+        def counting(value, parents, backward_fn):
+            made[0] += 1
+            return make_node(value, parents, backward_fn)
+
+        monkeypatch.setattr(ad, "make_node", counting)
+        counts = []
+        for length in range(2, 9):
+            made[0] = 0
+            with ad.no_grad():
+                m.complete(prep, length)
+            counts.append(made[0])
+        assert np.diff(counts).tolist() == [9] * 6
+
+
 class TestCopyDecoder:
     def test_requires_a_copy_map(self):
         with pytest.raises(ValueError, match="copy"):
