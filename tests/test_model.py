@@ -321,13 +321,12 @@ class TestOutputHead:
         # decoder_hidden 4 == embedding_dim leaves out ar.proj, 5 keeps it
         m = md.Model(tiny_config(decoder=decoder, decoder_hidden=hidden),
                      copy_ids=np.array([1, 0, 3, 2, 5]))
-        for name, p in m.store.items():  # biases away from zero
-            p.value[...] = np.random.default_rng(len(name)).normal(0.0, 0.5, p.shape)
+        rng = np.random.default_rng(2)
+        for _, p in m.store.items():  # biases away from zero
+            p.value[...] = rng.normal(0.0, 0.5, p.shape)
         prep = m.prepare([0, 2, 4, 1])
         assert ("ar.proj" in m.store) == (decoder == "autoregressive" and hidden == 5)
-        h = None
-        if rows:
-            h = np.random.default_rng(2).normal(size=(rows, hidden))
+        h = rng.normal(size=(rows, hidden)) if rows else None
         got = m.token_distributions(prep, None if h is None else ad.constant(h)).value
         assert got.shape == (max(rows, 1), 8, 6)
         np.testing.assert_allclose(got, head_oracle(m, prep, h), rtol=0, atol=1e-12)
