@@ -152,12 +152,11 @@ class Prepared:
 
     source_ids: np.ndarray
     embeddings: Node          # x, one row per source token
-    context: Node             # h', the rows the decoder conditions on
     fertility: fertility.FertilityTable
     permutation: Node | None  # (n, n) source permutation, reorder-first only
-    # the output head's terms that do not depend on the AR row, see
-    # Model.token_distributions
-    head: Node                # (n, m) source term context W1^T + b1
+    # the output head's terms that do not depend on the AR row (see
+    # Model.token_distributions), with h' the decoder context of encode
+    head: Node                # (n, m) source term h' W1^T + b1
     proj: Node                # (m, d*V) out.proj, column u*V + y
     ar_head: Node | None      # (H, m) LSTM row into the MLP, autoregressive only
 
@@ -404,8 +403,7 @@ class Model:
             # ar.proj has no bias, so it folds into W1: (W1 ar.proj)^T
             ar_head = (ad.transpose(ad.matmul(s["out.mlp.W1"], s["ar.proj"]))
                        if "ar.proj" in s else w1_t)
-        return Prepared(ids, x, context, self.fertility_head(rows), perm,
-                        head, proj, ar_head)
+        return Prepared(ids, x, self.fertility_head(rows), perm, head, proj, ar_head)
 
     def structure(self, prep: Prepared, length: int) -> Structure:
         """The target-independent stages for one candidate output length."""

@@ -294,6 +294,7 @@ class TestPredictAutoregressive:
     @pytest.mark.parametrize("composition", ["fertility-first", "reorder-first"])
     @pytest.mark.parametrize("hidden", [4, 5])  # equal to embedding_dim, or not
     def test_greedy_rows_equal_teacher_forced_rows(self, composition, hidden):
+        # the rows of decode, and greedy rows at every feasible length
         rng = np.random.default_rng(hidden)
         for n in range(1, 7):
             m = self.ar_model(seed=n, composition=composition, decoder_hidden=hidden)
@@ -301,8 +302,13 @@ class TestPredictAutoregressive:
             got = decode(m, src, k=2)
             assert got.tokens == np.argmax(got.distributions, axis=1).tolist()
             with ad.no_grad():
-                _, probs = m.complete(m.prepare(src), got.length, got.tokens)
-            np.testing.assert_allclose(got.distributions, probs.value, rtol=0, atol=1e-15)
+                prep = m.prepare(src)
+                greedy = {length: m.complete(prep, length)[1].value
+                          for length in feasible_lengths(m, src)}
+                greedy[got.length] = got.distributions
+                for length, rows in greedy.items():
+                    _, forced = m.complete(prep, length, np.argmax(rows, axis=1))
+                    np.testing.assert_allclose(rows, forced.value, rtol=0, atol=1e-15)
 
     def test_structure_is_built_once_per_candidate_length(self, monkeypatch):
         m = self.ar_model(seed=4, sharp=True)

@@ -295,7 +295,7 @@ def head_oracle(m: md.Model, prep: md.Prepared, h=None) -> np.ndarray:
     proj^T) per (source token, copy slot), mixed with the copy gate for the
     copy decoder; h holds decoder LSTM rows (rows, H), or None for none."""
     s, cfg = m.store, m.config
-    inp = prep.context.value[None]
+    inp = m.encode(prep.source_ids)[1].value[None]
     if h is not None:
         h_emb = h @ s["ar.proj"].value.T if "ar.proj" in s else h
         inp = inp + h_emb[:, None, :]
