@@ -448,10 +448,11 @@ def _recurrence(zx: np.ndarray, wh: np.ndarray, h0=None, c0=None):
 
     zx (T, 4K) holds the input terms and the bias of every step and wh
     (4K, K) the recurrent weights; rows g*K .. (g+1)*K are gate g of
-    (input, forget, cell, output), and both arrive with gate g scaled by
-    _GATE_SCALE[g].  The state starts from h0, c0 (zeros when omitted).
-    Every step is one product, one add and one tanh over all 4K
-    pre-activations.
+    (input, forget, cell, output).  The state starts from h0, c0 (zeros
+    when omitted).  Every step is one product, one add, one multiply by
+    the gate scale (see _gate_scale) and one tanh over all 4K
+    pre-activations; the scales are powers of two, so scaling here is
+    exact and no caller builds a scaled copy of zx or wh.
 
     Returns hs and cs (T+1, K), whose row 0 is the start state, and what
     _recurrence_adjoint needs: the gate activations (T, 4K) and tanh of
@@ -468,6 +469,7 @@ def _recurrence(zx: np.ndarray, wh: np.ndarray, h0=None, c0=None):
         a = act[t]
         np.dot(wh, hs[t], out=a)
         a += zx[t]
+        a *= scale
         np.tanh(a, out=a)
         a *= scale
         a += shift
@@ -481,19 +483,18 @@ def _recurrence(zx: np.ndarray, wh: np.ndarray, h0=None, c0=None):
 def _recurrence_adjoint(wh, cs, act, tanh_c, dh_out):
     """Backprop through time for _recurrence, in one reverse sweep.
 
-    wh is the scaled recurrent matrix _recurrence ran with and dh_out
-    (T, K) the adjoint of hs[1:].  Returns the adjoints dz (T, 4K) of the
-    unscaled pre-activations of every step.
+    wh is the recurrent matrix _recurrence ran with and dh_out (T, K) the
+    adjoint of hs[1:].  The gate activations already carry the gate
+    scale, so the sweep needs no scale of its own.  Returns the adjoints
+    dz (T, 4K) of the pre-activations zx of every step.
     """
     steps, width = dh_out.shape
     i, f = act[:, :width], act[:, width:2 * width]
     gc, o = act[:, 2 * width:3 * width], act[:, 3 * width:]
     dh_to_dc = o * (1.0 - tanh_c * tanh_c)
-    # dz[t] = coef[t] * [dc_t, dc_t, dc_t, dh_t], block by block; the sweep
-    # runs on dz / s, the adjoint of the scaled pre-activations
+    # dz[t] = coef[t] * [dc_t, dc_t, dc_t, dh_t], block by block
     coef = np.stack([gc * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
                      i * (1.0 - gc * gc), tanh_c * o * (1.0 - o)], axis=1)
-    coef /= _GATE_SCALE[:, None]
     dz = np.empty((steps, 4, width))
     wh_t = wh.T
     dh_next, dc_next = np.zeros(width), np.zeros(width)
@@ -505,60 +506,55 @@ def _recurrence_adjoint(wh, cs, act, tanh_c, dh_out):
         np.multiply(coef[t, 3], dh, out=dz[t, 3])
         dc_next = dc * f[t]
         dh_next = wh_t @ dz[t].reshape(-1)
-    dz *= _GATE_SCALE[:, None]
     return dz.reshape(steps, 4 * width)
 
 
-def lstm(inputs: Node, w: Node, b: Node,
-         state: np.ndarray | None = None) -> tuple[Node, np.ndarray]:
-    """One LSTM direction over the rows of inputs (T, D) as a single op.
+def lstm(zx: Node, wh: Node, state: np.ndarray | None = None) -> tuple[Node, np.ndarray]:
+    """One LSTM direction as a single op, over the input pre-activations
+    zx (T, 4H) of its steps: row t is the input term of step t plus the
+    bias, W_x x_t + b.
 
-    w is (4H, D + H), the input and recurrent weights side by side, and b
-    is (4H,); the gate blocks are (input, forget, cell, output).  The
-    recurrence starts from state, a constant (2H,) array [h_0; c_0], or
-    from zeros.  Returns the node of the hidden states (T, H), row t
-    being h_t, and the array [h_T; c_T] to continue from (the start
-    state when T = 0).  No gradient flows into state.
+    wh is the (4H, H) recurrent block; the gate blocks are (input, forget,
+    cell, output).  The recurrence starts from state, a constant (2H,)
+    array [h_0; c_0], or from zeros.  Returns the node of the hidden
+    states (T, H), row t being h_t, and the array [h_T; c_T] to continue
+    from (the start state when T = 0).  No gradient flows into state.
 
-    The input contributions of all steps are one matrix product, outside
-    the recurrence (Appleyard et al. 2016); the backward is one reverse
-    sweep of backprop through time that fills the gate adjoints dz of
-    every step, then takes the weight, bias and input gradients as
-    matrix products over all steps.
+    The caller forms zx, so the input contributions of all steps are one
+    matrix product outside the recurrence (Appleyard et al. 2016), or a
+    row lookup in a table built once.  The backward is one reverse sweep
+    of backprop through time that fills the adjoints dz of every step,
+    which are zx's gradient; wh's is dz^T hs[:-1].
     """
-    x, w, b = _wrap(inputs), _wrap(w), _wrap(b)
-    hdim = w.value.shape[0] // 4
-    if (x.ndim != 2 or w.value.shape != (4 * hdim, x.value.shape[1] + hdim)
-            or b.value.shape != (4 * hdim,)):
-        raise ShapeError("lstm", x.shape, w.shape, b.shape)
-    in_dim = x.value.shape[1]
+    zx, wh = _wrap(zx), _wrap(wh)
+    hdim = wh.value.shape[-1]
+    if zx.ndim != 2 or wh.value.shape != (4 * hdim, hdim) or zx.value.shape[1] != 4 * hdim:
+        raise ShapeError("lstm", zx.shape, wh.shape)
     start = ()
     if state is not None:
         state = np.asarray(state)
         if state.shape != (2 * hdim,):
-            raise ShapeError("lstm", w.shape, state.shape)
+            raise ShapeError("lstm", wh.shape, state.shape)
         start = state[:hdim], state[hdim:]
-    scale = _gate_scale(hdim)[0]
-    wx, wh = w.value[:, :in_dim], w.value[:, in_dim:] * scale[:, None]
-    hs, cs, act, tanh_c = _recurrence((x.value @ wx.T + b.value) * scale, wh, *start)
+    hs, cs, act, tanh_c = _recurrence(zx.value, wh.value, *start)
 
     def bw(g):
-        dz = _recurrence_adjoint(wh, cs, act, tanh_c, g)
-        _acc(w, np.concatenate([dz.T @ x.value, dz.T @ hs[:-1]], axis=1))
-        _acc(b, dz.sum(axis=0))
-        _acc(x, dz @ wx)
+        dz = _recurrence_adjoint(wh.value, cs, act, tanh_c, g)
+        _acc(zx, dz)
+        _acc(wh, dz.T @ hs[:-1])
 
-    return make_node(hs[1:], (x, w, b), bw), np.concatenate([hs[-1], cs[-1]])
+    return make_node(hs[1:], (zx, wh), bw), np.concatenate([hs[-1], cs[-1]])
 
 
 def bilstm(inputs: Node, w_fw: Node, b_fw: Node, w_bw: Node, b_bw: Node) -> Node:
     """Both directions of a bidirectional LSTM over the rows of inputs (T, D)
     as a single op.
 
-    Each direction has its own w (4H, D + H) and b (4H,), laid out as in
-    lstm.  Returns the hidden states (T, 2H) whose row t is
-    [h_fw_t; h_bw_t]: the forward state after rows 0..t and the backward
-    state after rows T-1 down to t.
+    Each direction has its own w (4H, D + H), the input and recurrent
+    weights side by side, and b (4H,), with lstm's gate blocks.  Returns
+    the hidden states (T, 2H) whose row t is [h_fw_t; h_bw_t]: the
+    forward state after rows 0..t and the backward state after rows T-1
+    down to t.
 
     Inside, the two directions are one recurrence of width K = 2H, gate
     major and direction minor: row g*K + d*H + j is unit j of gate g in
@@ -599,10 +595,9 @@ def bilstm(inputs: Node, w_fw: Node, b_fw: Node, w_bw: Node, b_bw: Node) -> Node
     wx = interleave(w_fw.value[:, :in_dim], w_bw.value[:, :in_dim])
     wh = np.zeros((4, 2, hdim, 2, hdim))
     for d, w in enumerate((w_fw, w_bw)):
-        wh[:, d, :, d] = (w.value[:, in_dim:].reshape(4, hdim, hdim)
-                          * _GATE_SCALE[:, None, None])
+        wh[:, d, :, d] = w.value[:, in_dim:].reshape(4, hdim, hdim)
     wh = wh.reshape(4 * width, width)
-    zx = (x.value @ wx.T + interleave(b_fw.value, b_bw.value)) * _gate_scale(width)[0]
+    zx = x.value @ wx.T + interleave(b_fw.value, b_bw.value)
     hs, cs, act, tanh_c = _recurrence(reverse_backward_steps(zx), wh)
     v = np.concatenate([hs[1:, :hdim], hs[:0:-1, hdim:]], axis=1)
 

@@ -155,7 +155,10 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
          lambda r: [r((len(reordering.spans(5)), 2)) * 1.5])
 
     case("lstm", lambda n: _weighted(ad.lstm(*n)[0]),
-         lambda r: [r((5, 2)), r((12, 5)), r(12)])  # T=5, D=2, H=3
+         lambda r: [r((5, 12)), r((12, 3))])  # zx and wh, T=5, H=3
+    # a non-zero start state puts h_0 into row 0 of wh's gradient
+    case("lstm.start", lambda n: _weighted(ad.lstm(*n, np.linspace(-0.9, 0.9, 6))[0]),
+         lambda r: [r((5, 12)), r((12, 3))])
     case("bilstm", lambda n: _weighted(ad.bilstm(*n)),
          lambda r: [r((5, 2)), r((12, 5)), r(12), r((12, 5)), r(12)])  # T=5, D=2, H=3
 

@@ -16,14 +16,15 @@ structure weights either way.
 
 Model is the one place that wires these stages.  prepare runs the stages
 that do not depend on the output length once per source, together with
-the output head's terms that depend only on the source or the weights,
-and complete finishes one candidate length: the structure, then the
-decoder.  The autoregressive decoder runs its LSTM through ar_context,
-over the whole target prefix when target ids are given (teacher forcing)
-and otherwise one greedy token at a time, carrying the [h; c] state row
-as a constant.  Both emit through token_distributions and one
-output_distributions call; they differ only in where the LSTM rows come
-from.
+the terms of the output head and of the decoder LSTM that depend only on
+the source or the weights, and complete finishes one candidate length:
+the structure, then the decoder.  The autoregressive decoder runs its
+LSTM through ar_context, on rows of the input pre-activation table that
+prepare built, over the whole target prefix when target ids are given
+(teacher forcing) and otherwise one greedy token at a time, carrying the
+[h; c] state row as a constant.  Both emit through token_distributions
+and one output_distributions call; they differ only in where the LSTM
+rows come from.
 """
 
 from __future__ import annotations
@@ -148,7 +149,13 @@ def _span_incidence(length: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class Prepared:
-    """Length-independent forward state, reused across candidate lengths."""
+    """Length-independent forward state, reused across candidate lengths.
+
+    The weight terms hold the weights as of prepare: proj and ar_rec, and
+    ar_head without ar.proj, are views of the store, while head, ar_in and
+    ar_head with ar.proj are copies.  So a Prepared must not be reused
+    across an optimizer step or a restore.
+    """
 
     source_ids: np.ndarray
     embeddings: Node          # x, one row per source token
@@ -159,6 +166,10 @@ class Prepared:
     head: Node                # (n, m) source term h' W1^T + b1
     proj: Node                # (m, d*V) out.proj, column u*V + y
     ar_head: Node | None      # (H, m) LSTM row into the MLP, autoregressive only
+    # the decoder LSTM's weight terms, autoregressive only, with e the
+    # embedding width (see Model.ar_context)
+    ar_in: Node | None        # (V, 4H) input pre-activations emb_tgt ar.W[:, :e]^T + ar.b
+    ar_rec: Node | None       # (4H, H) recurrent block ar.W[:, e:]
 
     @property
     def length_probs(self) -> Node:
@@ -366,10 +377,12 @@ class Model:
         mixed = ad.matmul(ad.reshape(mixing, (length, 1, -1)), token_probs)
         return ad.reshape(mixed, (length, -1))
 
-    def ar_context(self, prev_ids: Sequence[int], state: np.ndarray | None = None
-                   ) -> tuple[Node, np.ndarray]:
+    def ar_context(self, prep: Prepared, prev_ids: Sequence[int],
+                   state: np.ndarray | None = None) -> tuple[Node, np.ndarray]:
         """Run the decoder LSTM over prev_ids from state, a constant (2H,)
-        row [h; c] (zeros when omitted).
+        row [h; c] (zeros when omitted): the rows of prep.ar_in at the ids
+        are the input pre-activations, so a step is a row lookup and the
+        recurrence.
 
         Returns the LSTM rows (len(prev_ids), H), which token_distributions
         reads: the row after token t conditions the position after t.
@@ -377,9 +390,8 @@ class Model:
         range-checked here: complete checks target ids, and greedy ids are
         argmaxes over the vocabulary.
         """
-        s = self.store
         ids = np.asarray(prev_ids, dtype=np.intp)
-        return ad.lstm(ad.slice_(s["emb_tgt"], ids), s["ar.W"], s["ar.b"], state)
+        return ad.lstm(ad.slice_(prep.ar_in, ids), prep.ar_rec, state)
 
     # -- orchestration ------------------------------------------------------
 
@@ -398,12 +410,16 @@ class Model:
         head = ad.matmul(context, w1_t) + s["out.mlp.b1"]
         proj = ad.transpose(ad.reshape(
             s["out.proj"], (cfg.max_fertility * cfg.target_vocab, cfg.output_mlp)))
-        ar_head = None
+        ar_head = ar_in = ar_rec = None
         if cfg.decoder == "autoregressive":
             # ar.proj has no bias, so it folds into W1: (W1 ar.proj)^T
             ar_head = (ad.transpose(ad.matmul(s["out.mlp.W1"], s["ar.proj"]))
                        if "ar.proj" in s else w1_t)
-        return Prepared(ids, x, self.fertility_head(rows), perm, head, proj, ar_head)
+            w_in = ad.slice_(s["ar.W"], (slice(None), slice(None, cfg.embedding_dim)))
+            ar_in = ad.matmul(s["emb_tgt"], ad.transpose(w_in)) + s["ar.b"]
+            ar_rec = ad.slice_(s["ar.W"], (slice(None), slice(cfg.embedding_dim, None)))
+        return Prepared(ids, x, self.fertility_head(rows), perm, head, proj, ar_head,
+                        ar_in, ar_rec)
 
     def structure(self, prep: Prepared, length: int) -> Structure:
         """The target-independent stages for one candidate output length."""
@@ -453,10 +469,10 @@ class Model:
                 for pos in range(length):
                     if tables:
                         token = int(np.argmax(mixing[pos - 1] @ tables[-1].value[0]))
-                        ar_row, state = self.ar_context([token], state)
+                        ar_row, state = self.ar_context(prep, [token], state)
                     tables.append(self.token_distributions(prep, ar_row))
                 return st, self.output_distributions(ad.concat(tables, axis=0), st.mixing)
-            ar_states = ad.concat([zero, self.ar_context(ids[:-1])[0]], axis=0)
+            ar_states = ad.concat([zero, self.ar_context(prep, ids[:-1])[0]], axis=0)
         token_probs = self.token_distributions(prep, ar_states)
         return st, self.output_distributions(token_probs, st.mixing)
 

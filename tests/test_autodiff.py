@@ -31,6 +31,15 @@ def lstm_per_step(x, w, b, h=None, c=None):
     return np.array(rows)
 
 
+def lstm_over_rows(x, w, b, state=None):
+    """ad.lstm over the rows of x (T, D), with w = [W_x W_h] (4H, D + H)
+    and b (4H,) as in lstm_per_step: zx = x W_xᵀ + b on the tape."""
+    dim = x.shape[1]
+    w_x = ad.slice_(w, (slice(None), slice(None, dim)))
+    zx = ad.matmul(x, ad.transpose(w_x)) + b
+    return ad.lstm(zx, ad.slice_(w, (slice(None), slice(dim, None))), state)
+
+
 def saturated_lstm_arrays(rng):
     """x, w, b of a T=81 LSTM with preactivations up to +-40: every gate
     saturates."""
@@ -43,8 +52,8 @@ def bilstm_by_directions(x, w_fw, b_fw, w_bw, b_bw):
     """A BiLSTM composed of two lstm nodes: the backward one runs over the
     reversed rows, and its hidden rows are reversed back."""
     reverse = slice(None, None, -1)
-    fwd = ad.lstm(x, w_fw, b_fw)[0]
-    bwd = ad.lstm(ad.slice_(x, reverse), w_bw, b_bw)[0]
+    fwd = lstm_over_rows(x, w_fw, b_fw)[0]
+    bwd = lstm_over_rows(ad.slice_(x, reverse), w_bw, b_bw)[0]
     return ad.concat([fwd, ad.slice_(bwd, reverse)], axis=1)
 
 
@@ -121,21 +130,27 @@ class TestForwardValues:
         x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(16, 7)), rng.normal(size=16)
         h0, c0 = rng.normal(size=4), rng.normal(size=4)
         for start in (None, np.concatenate([h0, c0])):
-            out, state = ad.lstm(ad.constant(x), ad.constant(w), ad.constant(b), start)
+            out, state = lstm_over_rows(ad.constant(x), ad.constant(w), ad.constant(b),
+                                        start)
             want = lstm_per_step(x, w, b, *(() if start is None else (h0, c0)))
             np.testing.assert_allclose(out.value, want[:, :4], rtol=0, atol=1e-12)
             np.testing.assert_allclose(state, want[-1], rtol=0, atol=1e-12)
         # the start state is a plain (2H,) array, never a tape node
         for bad in (np.zeros(7), np.zeros((1, 8)), ad.constant(np.zeros(8))):
             with pytest.raises(ad.ShapeError, match="lstm"):
-                ad.lstm(ad.constant(x), ad.constant(w), ad.constant(b), bad)
+                lstm_over_rows(ad.constant(x), ad.constant(w), ad.constant(b), bad)
+        # zx must be (T, 4H) and wh (4H, H)
+        for zx, wh in ((np.zeros((4, 15)), w[:, 3:]), (np.zeros(16), w[:, 3:]),
+                       (np.zeros((4, 16)), w[:, 2:]), (np.zeros((4, 16)), w[:4, 3:])):
+            with pytest.raises(ad.ShapeError, match="lstm"):
+                ad.lstm(ad.constant(zx), ad.constant(wh))
 
     def test_lstm_long_sequence_with_saturated_gates_stays_finite(self):
         rng = np.random.default_rng(5)
         x, w, b = saturated_lstm_arrays(rng)
         start = rng.normal(size=8)
         nodes = [ad.parameter(a) for a in (x, w, b)]
-        out, state = ad.lstm(*nodes, start)
+        out, state = lstm_over_rows(*nodes, start)
         want = lstm_per_step(x, w, b, start[:4], start[4:])
         np.testing.assert_allclose(out.value, want[:, :4], rtol=0, atol=1e-12)
         np.testing.assert_allclose(state, want[-1], rtol=0, atol=1e-12)
@@ -172,7 +187,7 @@ class TestForwardValues:
 
         def run():
             nodes = [ad.parameter(a) for a in [x] + arrays]
-            out, state = ad.lstm(*nodes[:3])
+            out, state = lstm_over_rows(*nodes[:3])
             both = ad.bilstm(*nodes)
             ad.backward(ad.sum_(out * ad.constant(upstream[:, :4]))
                         + ad.sum_(both * ad.constant(upstream)))
@@ -195,7 +210,7 @@ class TestForwardValues:
         nodes = [ad.parameter(a) for a in
                  (np.zeros((0, 3)), rng.normal(size=(16, 7)), rng.normal(size=16))]
         start = rng.normal(size=8)
-        out, state = ad.lstm(*nodes, start)
+        out, state = lstm_over_rows(*nodes, start)
         assert out.shape == (0, 4)
         np.testing.assert_array_equal(state, start)
         ad.backward(ad.sum_(out))
@@ -251,10 +266,10 @@ class TestBackward:
         # the greedy decoder feeds one row per call, carrying [h; c]
         rng = np.random.default_rng(4)
         x, w, b = [ad.constant(rng.normal(size=s)) for s in ((6, 3), (16, 7), 16)]
-        whole, final = ad.lstm(x, w, b)
+        whole, final = lstm_over_rows(x, w, b)
         rows, state = [], None
         for t in range(6):
-            row, state = ad.lstm(ad.slice_(x, slice(t, t + 1)), w, b, state)
+            row, state = lstm_over_rows(ad.slice_(x, slice(t, t + 1)), w, b, state)
             rows.append(row.value)
         np.testing.assert_allclose(np.concatenate(rows), whole.value, rtol=0, atol=1e-12)
         np.testing.assert_allclose(state, final, rtol=0, atol=1e-12)

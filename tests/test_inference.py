@@ -332,9 +332,9 @@ class TestPredictAutoregressive:
                             counted("marg", fertility.marginal_fertility))
         lstm = ad.lstm
 
-        def recorded_lstm(inputs, w, b, state=None):
-            steps.append(inputs.shape[0])
-            return lstm(inputs, w, b, state)
+        def recorded_lstm(zx, wh, state=None):
+            steps.append(zx.shape[0])
+            return lstm(zx, wh, state)
 
         monkeypatch.setattr(ad, "lstm", recorded_lstm)
         decode(m, src, k=k)

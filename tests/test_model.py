@@ -358,6 +358,25 @@ class TestOutputHead:
             counts.append(made[0])
         assert np.diff(counts).tolist() == [9] * 6
 
+    @pytest.mark.parametrize("hidden", [4, 5])
+    def test_greedy_decode_reads_the_decoder_weights_only_through_prepare(
+            self, hidden, monkeypatch):
+        # decoder_hidden 4 == embedding_dim leaves out ar.proj, 5 keeps it
+        m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=hidden))
+        assert ("ar.proj" in m.store) == (hidden == 5)
+        weights = {id(m.store[name]) for name in ("ar.W", "ar.b", "emb_tgt")}
+        prep = m.prepare([0, 2, 4, 1])
+        readers = []
+        make_node = ad.make_node
+
+        def recording(value, parents, backward_fn):
+            readers.extend(p for p in parents if id(p) in weights)
+            return make_node(value, parents, backward_fn)
+
+        monkeypatch.setattr(ad, "make_node", recording)
+        _, rows = m.complete(prep, 6)
+        assert rows.shape == (6, 6) and readers == []
+
 
 class TestCopyDecoder:
     def test_requires_a_copy_map(self):
@@ -392,7 +411,8 @@ class TestAutoregressiveDecoder:
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))
         _, probs = m.complete(m.prepare([0, 1]), 3, target_ids=[2, 0, 5])
         np.testing.assert_allclose(probs.value.sum(axis=1), 1.0, atol=1e-6)
-        token_probs = m.token_distributions(m.prepare([0, 1]), m.ar_context([2, 0, 5])[0])
+        prep = m.prepare([0, 1])
+        token_probs = m.token_distributions(prep, m.ar_context(prep, [2, 0, 5])[0])
         assert token_probs.shape == (3, 4, 6)  # (rows, n*d, V), one row per state
 
     def test_prefix_alone_determines_each_row(self):
