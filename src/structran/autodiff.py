@@ -731,16 +731,25 @@ class ParameterStore:
                 for name, (lo, hi, shape) in self._layout.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Set every value from arrays, keyed as state_arrays keys them.
-        The names must be the store's, in its order, and every shape must
-        match; nothing is written unless all of them do."""
-        if list(arrays) != self.names():
-            raise UsageError("parameter names do not match the store")
+        """Set every value from arrays, keyed as state_arrays keys them."""
+        self._load(arrays, "")
+
+    def _load(self, arrays: dict[str, np.ndarray], where: str) -> None:
+        """Set every value from arrays by name.  The names must be the
+        store's and every shape must match; otherwise this raises, after
+        where, naming the first unexpected, missing or mis-shaped array,
+        and writes nothing."""
+        for name in arrays:
+            if name not in self._layout:
+                raise UsageError(f"{where}unexpected array {name!r}")
         for name, (_, _, shape) in self._layout.items():
+            if name not in arrays:
+                raise UsageError(f"{where}missing array {name!r}")
             if np.shape(arrays[name]) != shape:
-                raise ShapeError("restore", np.shape(arrays[name]), shape)
+                raise ShapeError(f"{where}restore {name!r}", np.shape(arrays[name]), shape)
         if arrays:
-            np.concatenate([np.ravel(a) for a in arrays.values()], out=self.values)
+            np.concatenate([np.ravel(arrays[name]) for name in self._layout],
+                           out=self.values)
 
     def save(self, path) -> None:
         """Binary container: magic, version, count, then per parameter
@@ -807,8 +816,9 @@ class ParameterStore:
         return out
 
     def restore(self, path) -> None:
-        """Load a checkpoint written by save(), as load_state_arrays does."""
-        self.load_state_arrays(self.read_arrays(path))
+        """Load a checkpoint written by save(), as load_state_arrays does;
+        every fault raises naming path."""
+        self._load(self.read_arrays(path), f"{path}: ")
 
 
 def global_grad_norm(store: ParameterStore) -> float:

@@ -206,42 +206,53 @@ class Model:
                 raise ValueError("copy id map points outside the target vocabulary")
         self.copy_ids = copy_ids
         layout = list(self._parameters())
-        self.store = ParameterStore((name, shape) for name, shape, _ in layout)
-        # weights are drawn in store order straight into the store, biases
-        # stay zero; this is rng.uniform(-INIT_SCALE, INIT_SCALE) bit for bit
+        self.store = ParameterStore((name, shape) for name, shape, _, read in layout
+                                    if read)
+        # weights are drawn in declared order straight into the store, and an
+        # array left out still takes its draws, into a throwaway; biases stay
+        # zero.  This is rng.uniform(-INIT_SCALE, INIT_SCALE) bit for bit
         # (numpy draws lower + range * u), in about two thirds of its time
         rng = np.random.default_rng(config.seed)
-        for name, _, drawn in layout:
+        for name, shape, drawn, read in layout:
             if drawn:
-                value = self.store[name].value
+                value = self.store[name].value if read else np.empty(shape)
                 rng.random(out=value)
                 value *= 2 * INIT_SCALE
                 value -= INIT_SCALE
 
     # -- parameter layout ---------------------------------------------------
 
-    def _parameters(self) -> Iterator[tuple[str, tuple, bool]]:
-        """(name, shape, drawn) of every parameter in store order: drawn
-        weights start uniform in (-INIT_SCALE, INIT_SCALE), biases at zero."""
+    def _parameters(self) -> Iterator[tuple[str, tuple, bool, bool]]:
+        """(name, shape, drawn, read) of every declared parameter, in draw
+        order: drawn weights start uniform in (-INIT_SCALE, INIT_SCALE),
+        biases at zero.  The store holds an array only when the configured
+        forward pass reads it: the contextual encoder's ctx.* arrays only
+        with skip_scale != 0, slot_emb only in the fertility-first order.
+        An array left out still takes its draws, so every kept array starts
+        from the same values whichever arrays the config leaves out."""
         cfg = self.config
         e = cfg.embedding_dim
+        contextual = cfg.skip_scale != 0.0
 
-        def weight(name: str, shape: tuple) -> tuple[str, tuple, bool]:
-            return name, shape, True
+        def weight(name: str, shape: tuple,
+                   read: bool = True) -> tuple[str, tuple, bool, bool]:
+            return name, shape, True, read
 
-        def bias(name: str, shape: tuple) -> tuple[str, tuple, bool]:
-            return name, shape, False
+        def bias(name: str, shape: tuple,
+                 read: bool = True) -> tuple[str, tuple, bool, bool]:
+            return name, shape, False, read
 
         yield weight("emb_src", (cfg.source_vocab, e))
-        yield weight("slot_emb", (cfg.max_fertility, e))
-        for tag, hidden in (("fert", cfg.fertility_hidden),
-                            ("reorder", cfg.reorder_hidden),
-                            ("ctx", cfg.context_hidden)):
+        yield weight("slot_emb", (cfg.max_fertility, e),
+                     cfg.composition == "fertility-first")
+        for tag, hidden, read in (("fert", cfg.fertility_hidden, True),
+                                  ("reorder", cfg.reorder_hidden, True),
+                                  ("ctx", cfg.context_hidden, contextual)):
             for direction in ("fw", "bw"):
-                yield weight(f"{tag}.{direction}.W", (4 * hidden, e + hidden))
-                yield bias(f"{tag}.{direction}.b", (4 * hidden,))
+                yield weight(f"{tag}.{direction}.W", (4 * hidden, e + hidden), read)
+                yield bias(f"{tag}.{direction}.b", (4 * hidden,), read)
         if 2 * cfg.context_hidden != e:
-            yield weight("ctx.proj", (e, 2 * cfg.context_hidden))
+            yield weight("ctx.proj", (e, 2 * cfg.context_hidden), contextual)
         yield weight("fert.mlp.W1", (cfg.fertility_mlp, 2 * cfg.fertility_hidden))
         yield bias("fert.mlp.b1", (cfg.fertility_mlp,))
         yield weight("fert.mlp.W2", (cfg.max_fertility + 1, cfg.fertility_mlp))

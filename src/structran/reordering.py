@@ -23,9 +23,9 @@ from . import autodiff as ad
 from .autodiff import DomainError, Node
 
 
-def spans(length: int, min_width: int = 2) -> list[tuple[int, int]]:
-    """Spans (i, j), j - i >= min_width, in the canonical width-major order."""
-    return [(i, i + w) for w in range(min_width, length + 1)
+def spans(length: int) -> list[tuple[int, int]]:
+    """Spans (i, j), j - i >= 2, in the canonical width-major order."""
+    return [(i, i + w) for w in range(2, length + 1)
             for i in range(length - w + 1)]
 
 

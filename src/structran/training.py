@@ -343,7 +343,9 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
     """Seeded per-example Adam training with a best-dev snapshot.
 
     train_pairs and dev_pairs hold (source_ids, target_ids) arrays.  The
-    model is left holding the weights of its best dev epoch.  Raises
+    model is left holding the weights of its best dev epoch, the first
+    one to reach the best dev exact match, or of the last epoch when there
+    are no dev pairs, and the result reports that epoch.  Raises
     TrainingError on a non-finite loss.  Errors name train pair i by
     origins[i] ("FILE: line N") when that is given, else by i.
     """
@@ -400,7 +402,8 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
             if log:
                 log(f"epoch {epoch}: loss {entry['train_loss']:.4f} "
                     f"dev {dev.rate:.3f} ({entry['wall_ms']:.0f} ms)")
-            if dev.rate > best_dev:
+            # with no dev pairs there is nothing to select on: keep the last epoch
+            if dev.rate > best_dev or not dev_pairs:
                 best_dev, best_epoch = dev.rate, epoch
                 best_state = model.store.state_arrays()
             if (config.stop_exact_match is not None

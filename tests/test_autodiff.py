@@ -398,6 +398,31 @@ class TestParameterStore:
         with pytest.raises(ad.UsageError):
             other.restore(path)
 
+    @pytest.mark.parametrize("layout,error,what", [
+        ([("layer.w", (3, 2)), ("layer.b", (3,)), ("extra", (1,))],
+         ad.UsageError, "unexpected array 'extra'"),
+        ([("layer.w", (3, 2))], ad.UsageError, "missing array 'layer.b'"),
+        ([("layer.w", (2, 3)), ("layer.b", (4,))], ad.ShapeError,
+         "restore 'layer.w': incompatible shapes"),
+    ])
+    def test_restore_names_the_file_and_the_first_bad_array(self, tmp_path, layout,
+                                                            error, what):
+        path = tmp_path / "model.ckpt"
+        ad.ParameterStore(layout).save(path)
+        with pytest.raises(error) as caught:
+            self._store().restore(path)
+        assert str(caught.value).startswith(f"{path}: {what}")
+
+    def test_restore_reads_arrays_by_name(self, tmp_path):
+        store = self._store()
+        path = tmp_path / "model.ckpt"
+        swapped = ad.ParameterStore([("layer.b", (3,)), ("layer.w", (3, 2))])
+        swapped.load_state_arrays(dict(reversed(store.state_arrays().items())))
+        swapped.save(path)
+        other = ad.ParameterStore([("layer.w", (3, 2)), ("layer.b", (3,))])
+        other.restore(path)
+        np.testing.assert_array_equal(other.values, store.values)
+
     def test_failed_restore_leaves_the_store_unchanged(self, tmp_path):
         store = self._store()
         path = tmp_path / "model.ckpt"

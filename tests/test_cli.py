@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from structran import checks, data, training
+from structran import autodiff as ad, checks, data, training
 from structran.cli import load_checkpoint, main, train_checkpoint
 
 MIRRORS = [(["a", "b"], ["a", "b", "b", "a"]),
@@ -553,6 +553,21 @@ class TestCheckpointFiles:
         assert self.predict_with(tmp_path, corpus, ckpt, payload) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "1 trailing bytes" in err
+
+    def test_extra_array_names_the_file_and_the_array(self, tmp_path, corpus,
+                                                      trained, capsys):
+        # checkpoints written while skip_scale 0 still kept ctx.* carry them
+        _, ckpt = trained
+        arrays = ad.ParameterStore.read_arrays(ckpt)
+        old = ad.ParameterStore([("ctx.fw.W", (16, 10))] +
+                                [(name, arr.shape) for name, arr in arrays.items()])
+        old.load_state_arrays({"ctx.fw.W": np.zeros((16, 10)), **arrays})
+        old.save(tmp_path / "old.ckpt")
+        payload = (tmp_path / "old.ckpt").read_bytes()
+        assert self.predict_with(tmp_path, corpus, ckpt, payload) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model.ckpt" in err and "'ctx.fw.W'" in err
+        assert not (tmp_path / "pred.jsonl").exists()
 
     def test_failed_save_keeps_the_previous_checkpoint(self, trained,
                                                        monkeypatch):

@@ -21,6 +21,16 @@ def tiny_config(**overrides) -> md.ModelConfig:
     return md.ModelConfig(**base)
 
 
+def mirror_model(path=MIRROR_A, **overrides) -> md.Model:
+    """The model of a shipped config, with the mirror alphabet as both
+    vocabularies and the given model keys overridden."""
+    raw = json.loads(path.read_text(encoding="utf-8"))["model"]
+    vocab = len(data.MIRROR_ALPHABET)
+    cfg = md.ModelConfig.from_dict({**raw, "source_vocab": vocab,
+                                    "target_vocab": vocab, **overrides})
+    return md.Model(cfg, np.arange(vocab) if cfg.decoder == "copy" else None)
+
+
 def zero_out(model, *names):
     for name in names:
         model.store[name].value[...] = 0.0
@@ -28,17 +38,16 @@ def zero_out(model, *names):
 
 class TestCheckpoint:
     def test_save_writes_the_documented_layout(self, tmp_path):
-        raw = json.loads(MIRROR_A.read_text(encoding="utf-8"))
-        vocab = len(data.MIRROR_ALPHABET)
-        m = md.Model(md.ModelConfig.from_dict({**raw["model"], "source_vocab": vocab,
-                                               "target_vocab": vocab}))
+        m = mirror_model()
+        # skip_scale 0: the contextual encoder's ctx.* arrays are left out
         names = ["emb_src", "slot_emb"] + [
-            f"{tag}.{d}.{p}" for tag in ("fert", "reorder", "ctx")
+            f"{tag}.{d}.{p}" for tag in ("fert", "reorder")
             for d in ("fw", "bw") for p in ("W", "b")] + [
-            "ctx.proj", "fert.mlp.W1", "fert.mlp.b1", "fert.mlp.W2", "fert.mlp.b2",
+            "fert.mlp.W1", "fert.mlp.b1", "fert.mlp.W2", "fert.mlp.b2",
             "span.mlp.W1", "span.mlp.b1", "span.mlp.W2", "span.mlp.b2",
             "out.mlp.W1", "out.mlp.b1", "out.proj"]
         assert m.store.names() == names
+        assert m.store.values.size == 29213
         # magic, version u32, count u64, then per parameter: name length
         # u32, utf-8 name, ndim u32, dims u64, float64 payload; little-endian
         want = b"STRN" + struct.pack("<IQ", 1, len(names))
@@ -50,6 +59,30 @@ class TestCheckpoint:
         path = tmp_path / "mirror_a.ckpt"
         m.store.save(path)
         assert path.read_bytes() == want
+
+
+class TestParameters:
+    @pytest.mark.parametrize("decoder", md.DECODERS)
+    @pytest.mark.parametrize("path", sorted(MIRROR_A.parent.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_every_array_starts_as_in_the_fullest_layout(self, path, decoder):
+        # the fertility-first order with skip_scale != 0 holds every array
+        # of the decoder; leaving arrays out must not move the others' draws
+        m = mirror_model(path, decoder=decoder)
+        full = mirror_model(path, decoder=decoder, skip_scale=0.5,
+                            composition="fertility-first")
+        assert set(m.store.names()) <= set(full.store.names())
+        for name, param in m.store.items():
+            np.testing.assert_array_equal(param.value, full.store[name].value)
+
+    def test_arrays_follow_the_config(self):
+        ctx = {"ctx.fw.W", "ctx.fw.b", "ctx.bw.W", "ctx.bw.b", "ctx.proj"}
+        reorder_first = mirror_model(composition="reorder-first").store
+        assert not ({"slot_emb"} | ctx) & set(reorder_first.names())
+        assert reorder_first.values.size == 29165
+        contextual = mirror_model(skip_scale=0.5).store
+        assert ctx | {"slot_emb"} <= set(contextual.names())
+        assert contextual.values.size == 29213 + 10560
 
 
 class TestConfig:

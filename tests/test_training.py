@@ -264,17 +264,22 @@ class TestOptimizer:
         np.testing.assert_array_equal(store["a"].value, alone["a"].value)
         assert store["c"].value[0] != c_before[0]
 
-    def test_training_without_skip_leaves_every_ctx_array_unchanged(self):
-        m = tiny_model(skip_scale=0.0)
-        before = m.store.state_arrays()
-        cfg = training.TrainConfig(lambda_guidance=0.0, epochs=2, seed=0)
-        training.train(m, TestTrainLoop()._pairs(), [], cfg)
-        ctx = [name for name in before if name.startswith("ctx.")]
-        assert len(ctx) == 5
-        for name in ctx:
-            assert m.store[name].grad is None  # after the last step
-            np.testing.assert_array_equal(m.store[name].value, before[name])
-        assert not np.array_equal(m.store["out.proj"].value, before["out.proj"])
+    @pytest.mark.parametrize("skip_scale", [0.0, 0.5])
+    @pytest.mark.parametrize("decoder,decoder_hidden", [
+        ("independent", 4), ("copy", 4), ("autoregressive", 4), ("autoregressive", 5)])
+    @pytest.mark.parametrize("composition", md.COMPOSITION_ORDERS)
+    def test_every_array_gets_a_gradient(self, composition, decoder, decoder_hidden,
+                                         skip_scale):
+        # the store holds only what the forward pass reads, so one backward
+        # pass touches every array: one run over the whole flat buffer
+        m = tiny_model(np.arange(4) if decoder == "copy" else None,
+                       composition=composition, decoder=decoder,
+                       decoder_hidden=decoder_hidden, skip_scale=skip_scale)
+        cfg = training.TrainConfig(lambda_guidance=0.0)
+        src = np.array([0, 2, 1])
+        loss, _ = training.example_loss(m, src, np.concatenate([src, src[::-1]]), cfg)
+        ad.backward(loss)
+        assert m.store.touched_runs() == [(0, m.store.values.size)]
 
     def test_reorder_first_step_on_one_token_leaves_the_span_scorer(self):
         m = tiny_model(composition="reorder-first", skip_scale=0.0)
@@ -420,6 +425,23 @@ class TestTrainLoop:
         res = training.train(m, self._pairs(), self._pairs(), cfg)
         assert res.best_dev == max(e["dev_exact_match"] for e in res.metrics)
         assert training.exact_match(m, self._pairs()).rate == res.best_dev
+
+    def test_without_dev_pairs_the_last_epoch_is_kept(self, monkeypatch):
+        m = tiny_model(skip_scale=0.0)
+        ends, score = [], training.exact_match
+
+        def snapshot_then_score(model, pairs):
+            # exact_match runs once per epoch, after its steps
+            ends.append(model.store.state_arrays())
+            return score(model, pairs)
+
+        monkeypatch.setattr(training, "exact_match", snapshot_then_score)
+        cfg = training.TrainConfig(lambda_guidance=0.0, epochs=3, seed=0)
+        res = training.train(m, self._pairs(), [], cfg)
+        assert len(ends) == 3 and res.best_epoch == 2
+        assert not np.array_equal(ends[0]["out.proj"], ends[2]["out.proj"])
+        for name, arr in ends[2].items():
+            np.testing.assert_array_equal(m.store[name].value, arr)
 
     def test_infeasible_dev_source_counts_as_no_candidate(self):
         m = tiny_model()
