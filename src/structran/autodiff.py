@@ -708,9 +708,6 @@ class ParameterStore:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self) -> Iterator[tuple[str, Parameter]]:
         return iter(self._params.items())
 
@@ -773,8 +770,8 @@ class ParameterStore:
         """Parse a checkpoint written by save().
 
         A wrong magic or version, a file cut short inside the header, a
-        name or an array, and bytes after the last array all raise
-        UsageError naming the path.
+        name or an array, an array named twice, and bytes after the last
+        array all raise UsageError naming the path.
         """
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -807,6 +804,8 @@ class ParameterStore:
             except UnicodeDecodeError as exc:
                 raise UsageError(f"{path}: name {index} is not utf-8") from exc
             what = f"array {name!r}"
+            if name in out:
+                raise UsageError(f"{path}: duplicate {what}")
             shape = tuple(unpack("<Q", what) for _ in range(unpack("<I", what)))
             data = take(8 * math.prod(shape), what)
             out[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)

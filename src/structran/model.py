@@ -115,21 +115,22 @@ def config_from_dict(cls, raw: dict):
 
 
 # Incidence matrices are cached for lengths up to this bound: together
-# they take 0.7 MB, where caching every length up to 81 would pin 88 MB.
+# they take 0.68 MB, where caching every length up to 81 would pin 87 MB.
 _INCIDENCE_CACHE_LENGTHS = 24
-_INCIDENCE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_INCIDENCE: dict[int, np.ndarray] = {}
 
 
-def _span_incidence(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The +-1 incidence matrices (S, length) that map BiLSTM states to
+def _span_incidence(length: int) -> np.ndarray:
+    """The +-1 incidence matrix (S, 2*length) that maps BiLSTM states to
     span features, one row per span of reordering.spans(length).
 
     With the fenceposts ff[k], the forward state after k rows, and bb[k],
     the backward state covering rows k..length-1, span (i, j) has the
     features ff[j] - ff[i] and bb[i] - bb[j].  ff[0] and bb[length] are
-    zero, so their columns are dropped: E_f @ fwd and E_b @ bwd are the
-    two feature blocks, with fwd and bwd the (length, H) state rows.
-    The arrays are read-only, and cached up to _INCIDENCE_CACHE_LENGTHS.
+    zero and have no column: ff[k] is column k - 1, the forward half of
+    state row k - 1, and bb[k] is column length + k, the backward half of
+    state row k.  The array is read-only, and cached up to
+    _INCIDENCE_CACHE_LENGTHS.
     """
     if length in _INCIDENCE:
         return _INCIDENCE[length]
@@ -137,14 +138,14 @@ def _span_incidence(length: int) -> tuple[np.ndarray, np.ndarray]:
     left, right = np.fromiter(itertools.chain.from_iterable(span_list), np.intp,
                               2 * len(span_list)).reshape(-1, 2).T
     rows = np.arange(left.size)
-    e = np.zeros((2, rows.size, length + 1))
-    e[0, rows, right] = e[1, rows, left] = 1.0
-    e[0, rows, left] = e[1, rows, right] = -1.0
+    e = np.zeros((rows.size, 2 * length))
+    e[rows, right - 1] = e[rows, length + left] = 1.0
+    e[rows[left > 0], left[left > 0] - 1] = -1.0
+    e[rows[right < length], length + right[right < length]] = -1.0
     e.setflags(write=False)
-    incidence = e[0, :, 1:], e[1, :, :-1]
     if length <= _INCIDENCE_CACHE_LENGTHS:
-        _INCIDENCE[length] = incidence
-    return incidence
+        _INCIDENCE[length] = e
+    return e
 
 
 @dataclass
@@ -284,12 +285,6 @@ class Model:
         return ad.bilstm(inputs, s[tag + ".fw.W"], s[tag + ".fw.b"],
                          s[tag + ".bw.W"], s[tag + ".bw.b"])
 
-    def _mlp(self, prefix: str, inp: Node) -> Node:
-        hid = ad.tanh(ad.matmul(inp, ad.transpose(self.store[prefix + ".W1"]))
-                      + self.store[prefix + ".b1"])
-        return ad.matmul(hid, ad.transpose(self.store[prefix + ".W2"])) \
-            + self.store[prefix + ".b2"]
-
     # -- pipeline stages ----------------------------------------------------
 
     def encode(self, source_ids: Sequence[int]) -> tuple[Node, Node]:
@@ -312,7 +307,10 @@ class Model:
     def fertility_head(self, rows: Node) -> fertility.FertilityTable:
         """Fertility table of the given rows: a BiLSTM over them, then a
         per-row softmax over 0..d copies."""
-        logits = self._mlp("fert.mlp", self._bilstm("fert", rows))
+        s = self.store
+        hid = ad.tanh(ad.matmul(self._bilstm("fert", rows), ad.transpose(s["fert.mlp.W1"]))
+                      + s["fert.mlp.b1"])
+        logits = ad.matmul(hid, ad.transpose(s["fert.mlp.W2"])) + s["fert.mlp.b2"]
         return fertility.FertilityTable(
             ad.softmax(logits, tau=self.config.temperature, axis=-1))
 
@@ -324,17 +322,23 @@ class Model:
         return ad.matmul(slot_weights, ad.reshape(slots, (-1, e)))
 
     def reordering_scores(self, seq: Node) -> reordering.SpanScores:
-        """Orientation scores for every span of the given sequence."""
+        """Orientation scores for every span of the given sequence: the span
+        MLP over the fencepost differences of _span_incidence.  Its first
+        layer is linear in them, so the (L, 2, H) BiLSTM rows are projected
+        once through span.mlp.W1 as (m, 2, H), each half through its own
+        columns, and one incidence product gives every span's
+        pre-activation."""
         length = seq.shape[0]
         if length == 1:
             return reordering.SpanScores(1, ad.constant(np.zeros((0, 2))))
-        states = self._bilstm("reorder", seq)
-        hdim = states.shape[1] // 2
-        fwd = ad.slice_(states, (slice(None), slice(0, hdim)))
-        bwd = ad.slice_(states, (slice(None), slice(hdim, None)))
-        e_f, e_b = _span_incidence(length)
-        feats = ad.concat([ad.matmul(e_f, fwd), ad.matmul(e_b, bwd)], axis=1)
-        return reordering.SpanScores(length, self._mlp("span.mlp", feats))
+        s, cfg = self.store, self.config
+        states = ad.reshape(self._bilstm("reorder", seq), (length, 2, cfg.reorder_hidden))
+        w1 = ad.reshape(s["span.mlp.W1"], (cfg.span_mlp, 2, cfg.reorder_hidden))
+        proj = ad.matmul(ad.transpose(states, (1, 0, 2)), ad.transpose(w1, (1, 2, 0)))
+        pre = ad.matmul(_span_incidence(length), ad.reshape(proj, (2 * length, cfg.span_mlp)))
+        hid = ad.tanh(pre + s["span.mlp.b1"])
+        return reordering.SpanScores(
+            length, ad.matmul(hid, ad.transpose(s["span.mlp.W2"])) + s["span.mlp.b2"])
 
     def mixing_weights(self, slot_weights: Node, perm_matrix: Node) -> Node:
         """Joint structure weights as a (length, n*d) matrix M, from the

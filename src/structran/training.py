@@ -346,8 +346,10 @@ def train(model: Model, train_pairs, dev_pairs, config: TrainConfig,
     model is left holding the weights of its best dev epoch, the first
     one to reach the best dev exact match, or of the last epoch when there
     are no dev pairs, and the result reports that epoch.  Raises
-    TrainingError on a non-finite loss.  Errors name train pair i by
-    origins[i] ("FILE: line N") when that is given, else by i.
+    TrainingError, as train_step does, on a forward pass that fails a
+    domain check, a non-finite loss or a non-finite gradient norm.
+    Errors name train pair i by origins[i] ("FILE: line N") when that is
+    given, else by i.
     """
     rng = random.Random(config.seed)
     optimizer = Adam(model.store, config)

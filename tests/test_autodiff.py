@@ -1,5 +1,6 @@
 """Tape mechanics, per-op gradients, and the parameter store."""
 import math
+import struct
 import warnings
 import zlib
 
@@ -412,6 +413,25 @@ class TestParameterStore:
         with pytest.raises(error) as caught:
             self._store().restore(path)
         assert str(caught.value).startswith(f"{path}: {what}")
+
+    def test_restore_rejects_an_array_named_twice(self, tmp_path):
+        # without the check the second 'layer.w' would win and the file,
+        # naming exactly the store's arrays, would restore
+        store = self._store()
+        blob = b"STRN" + struct.pack("<IQ", 1, 3)
+        for name in ("layer.w", "layer.w", "layer.b"):
+            value = store[name].value
+            blob += struct.pack("<I", len(name)) + name.encode("utf-8")
+            blob += struct.pack(f"<I{value.ndim}Q", value.ndim, *value.shape)
+            blob += value.astype("<f8").tobytes()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(blob)
+        before = store.state_arrays()
+        with pytest.raises(ad.UsageError) as caught:
+            store.restore(path)
+        assert str(caught.value) == f"{path}: duplicate array 'layer.w'"
+        for name, arr in before.items():
+            np.testing.assert_array_equal(store[name].value, arr)
 
     def test_restore_reads_arrays_by_name(self, tmp_path):
         store = self._store()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from structran import autodiff as ad
-from structran import data, fertility, model as md
+from structran import data, fertility, model as md, reordering
 
 MIRROR_A = Path(__file__).resolve().parent.parent / "configs" / "mirror_a.json"
 
@@ -46,7 +46,7 @@ class TestCheckpoint:
             "fert.mlp.W1", "fert.mlp.b1", "fert.mlp.W2", "fert.mlp.b2",
             "span.mlp.W1", "span.mlp.b1", "span.mlp.W2", "span.mlp.b2",
             "out.mlp.W1", "out.mlp.b1", "out.proj"]
-        assert m.store.names() == names
+        assert [name for name, _ in m.store.items()] == names
         assert m.store.values.size == 29213
         # magic, version u32, count u64, then per parameter: name length
         # u32, utf-8 name, ndim u32, dims u64, float64 payload; little-endian
@@ -71,17 +71,17 @@ class TestParameters:
         m = mirror_model(path, decoder=decoder)
         full = mirror_model(path, decoder=decoder, skip_scale=0.5,
                             composition="fertility-first")
-        assert set(m.store.names()) <= set(full.store.names())
+        assert m.store.state_arrays().keys() <= full.store.state_arrays().keys()
         for name, param in m.store.items():
             np.testing.assert_array_equal(param.value, full.store[name].value)
 
     def test_arrays_follow_the_config(self):
         ctx = {"ctx.fw.W", "ctx.fw.b", "ctx.bw.W", "ctx.bw.b", "ctx.proj"}
         reorder_first = mirror_model(composition="reorder-first").store
-        assert not ({"slot_emb"} | ctx) & set(reorder_first.names())
+        assert not ({"slot_emb"} | ctx) & reorder_first.state_arrays().keys()
         assert reorder_first.values.size == 29165
         contextual = mirror_model(skip_scale=0.5).store
-        assert ctx | {"slot_emb"} <= set(contextual.names())
+        assert ctx | {"slot_emb"} <= contextual.state_arrays().keys()
         assert contextual.values.size == 29213 + 10560
 
 
@@ -220,44 +220,57 @@ class TestReorderingScores:
         assert ss.scores.value.shape == (0, 2)
 
     def test_score_rows_follow_span_order(self):
-        from structran import reordering
         m = md.Model(tiny_config())
         ss = m.reordering_scores(m.encode([2, 0, 1, 4])[0])
         assert ss.scores.value.shape == (len(reordering.spans(4)), 2)
 
-    def test_span_features_equal_fencepost_differences(self, monkeypatch):
+    def test_scores_are_the_mlp_over_fencepost_differences(self):
         # span (i, j) reads ff[j] - ff[i] and bb[i] - bb[j], where ff[k] is
         # the forward state after k rows and bb[k] the backward state
         # covering rows k..L-1, with ff[0] = bb[L] = 0
-        from structran import reordering
         m = md.Model(tiny_config())
-        seen = []
-        mlp = md.Model._mlp
-
-        def recorded(self, prefix, inp):
-            seen.append(inp.value)
-            return mlp(self, prefix, inp)
-
-        monkeypatch.setattr(md.Model, "_mlp", recorded)
         rng = np.random.default_rng(2)
+        for _, p in m.store.items():  # biases away from zero
+            p.value[...] = rng.normal(0.0, 0.5, p.shape)
+        w1, b1, w2, b2 = (m.store[f"span.mlp.{n}"].value for n in ("W1", "b1", "W2", "b2"))
         for length in range(2, 13):
             seq = ad.constant(rng.normal(size=(length, 4)))
-            m.reordering_scores(seq)
+            got = m.reordering_scores(seq).scores.value
             states = m._bilstm("reorder", seq).value
             zero = np.zeros((1, 3))
             ff = np.concatenate([zero, states[:, :3]])
             bb = np.concatenate([states[:, 3:], zero])
-            expected = [np.concatenate([ff[j] - ff[i], bb[i] - bb[j]])
-                        for i, j in reordering.spans(length)]
-            np.testing.assert_array_equal(seen[-1], expected)
+            feats = np.array([np.concatenate([ff[j] - ff[i], bb[i] - bb[j]])
+                              for i, j in reordering.spans(length)])
+            want = np.tanh(feats @ w1.T + b1) @ w2.T + b2
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_incidence_is_cached_and_read_only(self):
         first = md._span_incidence(6)
-        second = md._span_incidence(6)
-        assert all(a is b for a, b in zip(first, second))
-        assert not any(e.flags.writeable for e in second)
+        assert md._span_incidence(6) is first
+        assert first.shape == (len(reordering.spans(6)), 12)
+        assert not first.flags.writeable
         long = md._span_incidence(md._INCIDENCE_CACHE_LENGTHS + 1)
-        assert md._span_incidence(md._INCIDENCE_CACHE_LENGTHS + 1)[0] is not long[0]
+        assert md._span_incidence(md._INCIDENCE_CACHE_LENGTHS + 1) is not long
+
+    def test_node_budget(self, monkeypatch):
+        # bilstm, two reshapes and two transposes into the batched
+        # projection, its reshape and the incidence product, then b1, tanh,
+        # transpose of W2, product and b2
+        m = md.Model(tiny_config())
+        made = [0]
+        make_node = ad.make_node
+
+        def counting(value, parents, backward_fn):
+            made[0] += 1
+            return make_node(value, parents, backward_fn)
+
+        monkeypatch.setattr(ad, "make_node", counting)
+        rng = np.random.default_rng(3)
+        for length in (2, 5, 9):
+            made[0] = 0
+            m.reordering_scores(ad.parameter(rng.normal(size=(length, 4))))
+            assert made[0] == 13
 
 
 class TestTransduction:

@@ -113,8 +113,8 @@ class TestExampleLoss:
 
     def test_zero_weights_leave_the_uniform_nll(self):
         m = tiny_model(source_vocab=2, target_vocab=2, max_fertility=1, seed=0)
-        for name in m.store.names():
-            m.store[name].value[...] = 0.0
+        for _, param in m.store.items():
+            param.value[...] = 0.0
         no_len = training.TrainConfig(lambda_length=0.0, lambda_guidance=0.0)
         loss, _ = training.example_loss(m, [0], [1], no_len)
         assert float(loss.value) == pytest.approx(math.log(2), abs=1e-12)
@@ -290,7 +290,7 @@ class TestOptimizer:
         moments = opt.m.copy(), opt.v.copy()
         training.train_step(m, opt, cfg, [1], [1, 1], None, epoch=0, index=1)
         # the flat buffers hold one run per array, in store order
-        names = m.store.names()
+        names = list(m.store.state_arrays())
         bounds = np.cumsum([0] + [m.store[name].value.size for name in names])
         span = [name for name in names if name.startswith("span.")]
         assert len(span) == 4
