@@ -153,6 +153,11 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
          lambda n: _weighted(reordering.expected_permutation(
              reordering.SpanScores(5, n[0]))),
          lambda r: [r((len(reordering.spans(5)), 2)) * 1.5])
+    # eight widths: the adjoint's per-span segment sums gather up to 8 splits
+    case("reordering.expected_permutation.l9",
+         lambda n: _weighted(reordering.expected_permutation(
+             reordering.SpanScores(9, n[0]))),
+         lambda r: [r((len(reordering.spans(9)), 2)) * 1.5])
 
     case("lstm", lambda n: _weighted(ad.lstm(*n)[0]),
          lambda r: [r((5, 12)), r((12, 3))])  # zx and wh, T=5, H=3
@@ -189,7 +194,9 @@ def run_model_case(name: str, model: Model, loss_fn: Callable,
     return compare_gradients(name, lambda: loss_fn(model), nodes, tol)
 
 
-def model_cases() -> list[tuple[str, Model, Callable]]:
+def model_cases(seed: int = 0) -> list[tuple[str, Model, Callable]]:
+    """(name, model, loss) for each end-to-end case; every model draws its
+    weights from seed 7 + seed, so seed 0 gives the original cases."""
     src = np.array([0, 2, 1])
     tgt = np.array([1, 0, 3, 2])
     tc = TrainConfig(lambda_length=1.0, lambda_guidance=0.5, guidance_epochs=1,
@@ -202,31 +209,34 @@ def model_cases() -> list[tuple[str, Model, Callable]]:
     def loss_plain(model):
         return example_loss(model, src, tgt, tc)[0]
 
+    def config(**overrides):
+        return _tiny_config(seed=7 + seed, **overrides)
+
     cases = [
         ("model.fertility_first.guided",
-         Model(_tiny_config()), loss_with_guidance),
+         Model(config()), loss_with_guidance),
         ("model.reorder_first",
-         Model(_tiny_config(composition="reorder-first")), loss_plain),
+         Model(config(composition="reorder-first")), loss_plain),
         ("model.copy_decoder",
-         Model(_tiny_config(decoder="copy"), copy_ids=np.array([1, 0, 3, 2])),
+         Model(config(decoder="copy"), copy_ids=np.array([1, 0, 3, 2])),
          loss_plain),
         ("model.autoregressive",
-         Model(_tiny_config(decoder="autoregressive", decoder_hidden=4)),
+         Model(config(decoder="autoregressive", decoder_hidden=4)),
          loss_plain),
         # decoder_hidden == embedding_dim: no ar.proj, the LSTM rows meet W1
         ("model.autoregressive.square",
-         Model(_tiny_config(decoder="autoregressive", decoder_hidden=3)),
+         Model(config(decoder="autoregressive", decoder_hidden=3)),
          loss_plain),
     ]
     return cases
 
 
-def run_model_gradchecks() -> list[CheckResult]:
-    return [run_model_case(name, model, fn) for name, model, fn in model_cases()]
+def run_model_gradchecks(seed: int = 0) -> list[CheckResult]:
+    return [run_model_case(name, model, fn) for name, model, fn in model_cases(seed)]
 
 
 def run_all_gradchecks(seed: int = 0) -> list[CheckResult]:
-    return run_op_gradchecks(seed) + run_model_gradchecks()
+    return run_op_gradchecks(seed) + run_model_gradchecks(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,21 @@ class FertilityTable:
 # ---------------------------------------------------------------------------
 # log-space prefix sweeps and their adjoint
 
+def _window(out: np.ndarray, i: int, dp1: int) -> np.ndarray:
+    """Row i of a padded prefix table, shifted once per count: a strided
+    (K, d+1, width) view with window[k, r, h] = out[k, i, d + h - r].
+
+    out is (K, n+1, d + width) with d = dp1 - 1 leading pad columns, so
+    every index d + h - r lies in 0..d+width-1.  The view comes from the
+    ndarray constructor over out's buffer, which raises ValueError for a
+    view that would reach outside it.
+    """
+    k0, k1, k2 = out.strides
+    d = dp1 - 1
+    return np.ndarray((out.shape[0], dp1, out.shape[2] - d), out.dtype, out,
+                      i * k1 + d * k2, (k0, -k2, k2))
+
+
 def _sweep(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prefix log-convolutions of a stack of tables, all in one loop:
     out[k][i][h] = log P(f_1 + .. + f_i = h) under logp[k], (K, n, d+1).
@@ -95,10 +110,9 @@ def _sweep(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     width = n * d + 1
     out = np.full((stack, n + 1, d + width), -np.inf)  # d leading -inf columns pad the shifts
     out[:, 0, d] = 0.0
-    shifted = d + np.arange(width) - np.arange(dp1)[:, None]
     weights = np.empty((stack, n, dp1, width))
     for i in range(n):
-        total, weights[:, i] = ad.lse_softmax(logp[:, i, :, None] + out[:, i, shifted],
+        total, weights[:, i] = ad.lse_softmax(logp[:, i, :, None] + _window(out, i, dp1),
                                               axis=1)
         out[:, i + 1, d:] = total[:, 0]
     return out[:, :, d:], weights

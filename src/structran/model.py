@@ -30,7 +30,6 @@ rows come from.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -134,9 +133,7 @@ def _span_incidence(length: int) -> np.ndarray:
     """
     if length in _INCIDENCE:
         return _INCIDENCE[length]
-    span_list = reordering.spans(length)
-    left, right = np.fromiter(itertools.chain.from_iterable(span_list), np.intp,
-                              2 * len(span_list)).reshape(-1, 2).T
+    left, right = reordering.span_endpoints(length)
     rows = np.arange(left.size)
     e = np.zeros((rows.size, 2 * length))
     e[rows, right - 1] = e[rows, length + left] = 1.0

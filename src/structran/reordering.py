@@ -29,6 +29,64 @@ def spans(length: int) -> list[tuple[int, int]]:
             for i in range(length - w + 1)]
 
 
+def span_endpoints(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right endpoints of spans(length) as two intp arrays."""
+    counts = np.arange(length - 1, 0, -1)  # spans of width 2, 3, .., length
+    width = np.repeat(np.arange(2, length + 1), counts)
+    left = np.arange(width.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return left, left + width
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The flat split layout of one length; its arrays are read-only.
+
+    The T splits of every span of width >= 2 are laid out (w, c, i): split
+    (w, c, i), the split at i+c of span (i, i+w), is entry a + (c-1)*n + i,
+    where n = length-w+1 and blocks holds one (w, n, a, b) per width in
+    ascending order: [a, b) is width w's block, a row-major (w-1, n)
+    array.  span_of[t] is the span row of split t, and cells[k] the flat
+    index of span k's entry Z[w, i] in a (length+1, length) chart.
+    """
+
+    length: int
+    blocks: tuple[tuple[int, int, int, int], ...]
+    span_of: np.ndarray
+    cells: np.ndarray
+
+
+# Plans are cached for lengths up to this bound: together they take
+# 0.14 MB, where caching every length up to 81 would pin 15 MB.
+_PLAN_CACHE_LENGTHS = 24
+_PLANS: dict[int, _Plan] = {}
+
+
+def _plan(length: int) -> _Plan:
+    """The split layout of `length`, cached up to _PLAN_CACHE_LENGTHS."""
+    if length in _PLANS:
+        return _PLANS[length]
+    left, right = span_endpoints(length)
+    widths = np.arange(2, length + 1)
+    ns = length + 1 - widths
+    rows = np.flatnonzero(left == 0)  # the first span row of each width
+    bounds = np.concatenate(([0], np.cumsum((widths - 1) * ns)))
+    # width w's block is w-1 runs of n splits, one per c, and split t of the
+    # run that starts at t0 belongs to span row t - t0 + row
+    run = np.repeat(ns, widths - 1)
+    shift = np.cumsum(run) - run - np.repeat(rows, widths - 1)
+    span_of = np.arange(bounds[-1])
+    span_of -= np.repeat(shift, run)
+    cells = (right - left) * length + left
+    span_of.setflags(write=False)
+    cells.setflags(write=False)
+    plan = _Plan(length, tuple(zip(widths.tolist(), ns.tolist(),
+                                   bounds[:-1].tolist(), bounds[1:].tolist())),
+                 span_of, cells)
+    if length <= _PLAN_CACHE_LENGTHS:
+        _PLANS[length] = plan
+    return plan
+
+
 @dataclass
 class SpanScores:
     """(straight, inverted) scores for every span of width >= 2."""
@@ -86,27 +144,27 @@ def _split_views(a: np.ndarray, w: int) -> tuple[np.ndarray, ...]:
             np.ndarray(shape, a.dtype, a, s0 + (w - 1) * s2, (s0 - s2, s1, s2)))
 
 
-def _chart_posteriors(scores: np.ndarray, length: int):
+def _chart_posteriors(scores: np.ndarray, plan: _Plan):
     """Inside values plus factorized posteriors.
 
     Z is the dense (length+1, length) inside chart: Z[w, i] is the log
     inside value of span (i, i+w) for i <= length-w, and zero elsewhere.
     po[k] is the (straight, inverted) posterior of span k of
-    spans(length), and ps[w][c-1][i] the posterior of the split at i+c of
-    span (i, i+w).
+    spans(length).  split is the flat (T,) buffer of split posteriors in
+    the plan's layout, and ps[w] its (w-1, n) block: ps[w][c-1][i] is the
+    posterior of the split at i+c of span (i, i+w).
     """
     orient_lse, po = ad.lse_softmax(scores, axis=1)
-    Z = np.zeros((length + 1, length))
+    Z = np.zeros((plan.length + 1, plan.length))
+    np.put(Z, plan.cells, orient_lse[:, 0])  # the splits' lse is added per width
+    split = np.empty(plan.span_of.size)
     ps: list[np.ndarray | None] = [None, None]
-    offset = 0
-    for w in range(2, length + 1):
-        n_w = length - w + 1
+    for w, n, a, b in plan.blocks:
         left, right = _split_views(Z, w)
-        a, split_post = ad.lse_softmax(left + right, axis=0)
-        Z[w, :n_w] = a[0] + orient_lse[offset:offset + n_w, 0]
-        ps.append(split_post)
-        offset += n_w
-    return Z, po, ps
+        m, e, s = ad._shifted_exp(left + right, 0)
+        Z[w, :n] += (np.log(s) + m)[0]
+        ps.append(np.divide(e, s, out=split[a:b].reshape(w - 1, n)))
+    return Z, po, split, ps
 
 
 # ---------------------------------------------------------------------------
@@ -122,62 +180,64 @@ def expected_permutation(ss: SpanScores) -> Node:
     child and s+c to its right child; an inverted one passes s to its right
     child and s+w-c to its left child.  The leaves give the matrix: O[1].
     Each width moves its mass to all its splits at once through the views
-    of `_split_views`.
+    of `_split_views`.  Work that does not depend on another width (the
+    branch posteriors, and in the adjoint the split and orientation JVPs)
+    runs once over the flat split layout of `_plan`, outside the loops.
     """
     length = ss.length
     scores = ss.scores.value
-    _, po, ps = _chart_posteriors(scores, length)
+    plan = _plan(length)
+    _, po, split, ps = _chart_posteriors(scores, plan)
 
-    # q[w][c-1, i] = P(split at i+c, (straight, inverted) | span (i, i+w))
-    q: list[np.ndarray | None] = [None] * (length + 1)
+    # q[t, o] = P(split t, orientation o | its span), o = straight, inverted
+    q = po.take(plan.span_of, axis=0)
+    q *= split[:, None]
+    qo = q.T  # (2, T): one orientation per row
     O = np.zeros((length + 1, length, length))
     O[length, 0, 0] = 1.0
-    off = len(scores)
-    for w in range(length, 1, -1):
-        n = length - w + 1
-        off -= n
-        q[w] = ps[w][:, :, None] * po[off:off + n]
+    for w, n, a, b in reversed(plan.blocks):
+        qw = qo[:, a:b].reshape(2, w - 1, n, 1)
         ow = O[w, :n, :n]
-        qs = q[w][:, :, 0, None] * ow
-        qi = q[w][:, :, 1, None] * ow
         left_s, right_s, right_i, left_i = _split_views(O, w)
+        # one orientation's product at a time, added while it is in cache
+        qs = qw[0] * ow
         left_s += qs
         right_s += qs
+        qi = qw[1] * ow
         right_i += qi
         left_i += qi
 
     def bw(groot):
-        # bottom-up: adjoints of O and of the branch posteriors q; every
-        # JVP that does not read dZ is taken here, the split one centred
-        dO = np.zeros_like(O)
+        # bottom-up: adjoints of O and of the branch posteriors q
+        dO = np.zeros(O.shape)
         dO[1] = groot
-        dps_c: list[np.ndarray | None] = [None, None]
-        dpo = np.empty_like(scores)  # width-major, like scores
-        off = 0
-        for w in range(2, length + 1):
-            n = length - w + 1
-            ow = O[w, :n, :n]
+        dq = np.empty(qo.shape)  # the layout einsum writes fastest
+        for w, n, a, b in plan.blocks:
             left_s, right_s, right_i, left_i = _split_views(dO, w)
             g = np.empty((2, w - 1, n, n))  # straight, inverted
             np.add(left_s, right_s, out=g[0])
             np.add(right_i, left_i, out=g[1])
-            dqw = np.einsum("ocis,is->cio", g, ow)
-            dO[w, :n, :n] = np.einsum("cio,ocis->is", q[w], g)
-            dps = (dqw * po[off:off + n]).sum(axis=2)
-            dps_c.append(dps - (ps[w] * dps).sum(axis=0))
-            dpo[off:off + n] = (dqw * ps[w][:, :, None]).sum(axis=0)
-            off += n
+            np.einsum("ocis,is->oci", g, O[w, :n, :n], out=dq[:, a:b].reshape(2, w - 1, n))
+            np.einsum("cio,ocis->is", q[a:b].reshape(w - 1, n, 2), g, out=dO[w, :n, :n])
+        # every split's JVP at once, centred by per-span segment sums, and
+        # every span's orientation JVP as a segment sum over its splits
+        rows = len(scores)
+        dsplit = (dq * po.take(plan.span_of, axis=0).T).sum(axis=0)
+        dsplit -= np.bincount(plan.span_of, split * dsplit, rows)[plan.span_of]
+        dq *= split
+        dpo = np.empty_like(scores)
+        for o in (0, 1):
+            dpo[:, o] = np.bincount(plan.span_of, dq[o], rows)
         # top-down: z = lse_splits + lse_orient, posteriors are softmax JVPs;
         # leaves have a constant inside value, so dZ[1] is never read
         dZ = np.zeros((length + 1, length))
-        for w in range(length, 1, -1):
-            dt = ps[w] * (dps_c[w] + dZ[w, :length - w + 1])
+        for w, n, a, b in reversed(plan.blocks):
+            dt = ps[w] * (dsplit[a:b].reshape(w - 1, n) + dZ[w, :n])
             left, right = _split_views(dZ, w)
             left += dt
             right += dt
         # every span's orientation JVP at once; gz stays out of the centring
-        widths = np.arange(2, length + 1)[:, None]
-        gz = dZ[2:][widths + np.arange(length) <= length]
+        gz = dZ.ravel()[plan.cells]
         ad._acc(ss.scores, po * (dpo - (po * dpo).sum(axis=1, keepdims=True) + gz[:, None]))
 
     # a copy, so that without a tape the result does not keep all of O alive

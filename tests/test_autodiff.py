@@ -302,6 +302,26 @@ class TestPerOpGradients:
         failed = [(r.name, r.error) for r in checks.run_op_gradchecks(seed) if not r.ok]
         assert failed == []
 
+    def test_gradcheck_seed_reaches_the_model_cases(self, monkeypatch):
+        # seed 0 keeps the original model seed 7; every other seed draws new models
+        seen = []
+
+        def record(name, model, loss_fn, tol=checks.MODEL_TOLERANCE):
+            seen.append((name, model.config.seed,
+                         np.concatenate([p.value.ravel() for _, p in model.store.items()])))
+            return checks.CheckResult(name, 0.0, tol)
+
+        monkeypatch.setattr(checks, "run_case", lambda name, build, arrays, tol=1.0:
+                            checks.CheckResult(name, 0.0, tol))
+        monkeypatch.setattr(checks, "run_model_case", record)
+        checks.run_all_gradchecks(seed=0)
+        checks.run_all_gradchecks(seed=3)
+        base, other = seen[:len(seen) // 2], seen[len(seen) // 2:]
+        assert [seed for _, seed, _ in base] == [7] * 5
+        assert [seed for _, seed, _ in other] == [10] * 5
+        for (name, _, w0), (name3, _, w3) in zip(base, other):
+            assert name == name3 and w0.shape == w3.shape and not np.array_equal(w0, w3)
+
     @pytest.mark.parametrize("op", ["add", "sub", "mul"])
     def test_broadcast_arithmetic(self, op):
         rng = np.random.default_rng(zlib.crc32(op.encode()))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.array_utils import byte_bounds
 
 from structran import autodiff as ad
 from structran import fertility, oracles
@@ -192,6 +193,26 @@ class TestExpectedFertilities:
         mf = fertility.marginal_fertility(ft, length)
         total = mean_fertilities(mf).sum()
         assert total == pytest.approx(length, abs=1e-9)
+
+
+class TestWindow:
+    """`_window` addresses the cells of the gather out[:, i, d + h - r] and
+    stays inside the padded table's buffer."""
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (4, 1), (5, 4), (9, 2)])
+    def test_view_matches_the_gather(self, n, d):
+        width = n * d + 1
+        # sentinels: every element holds its own flat index
+        out = np.arange(float(2 * (n + 1) * (d + width))).reshape(2, n + 1, d + width)
+        shifted = d + np.arange(width) - np.arange(d + 1)[:, None]
+        lo, hi = byte_bounds(out)
+        for i in range(n):
+            view = fertility._window(out, i, d + 1)
+            assert view.shape == (2, d + 1, width)
+            np.testing.assert_array_equal(view, out[:, i, shifted])
+            v_lo, v_hi = byte_bounds(view)
+            assert lo <= v_lo and v_hi <= hi
+            assert np.shares_memory(view, out)
 
 
 class TestOperationCount:

@@ -27,14 +27,14 @@ def random_chart(rng, length, scale=1.5) -> reordering.SpanScores:
 
 
 def root_logz(ss: reordering.SpanScores) -> float:
-    z, _, _ = reordering._chart_posteriors(ss.scores.value, ss.length)
+    z, _, _, _ = reordering._chart_posteriors(ss.scores.value, reordering._plan(ss.length))
     return float(z[ss.length, 0])
 
 
 def split_table(ss: reordering.SpanScores, i: int, j: int) -> np.ndarray:
     """(w-1, 2) posterior over (split, orientation) of span (i, j);
     row k-i-1 holds split point k."""
-    _, po, ps = reordering._chart_posteriors(ss.scores.value, ss.length)
+    _, po, _, ps = reordering._chart_posteriors(ss.scores.value, reordering._plan(ss.length))
     k = reordering.spans(ss.length).index((i, j))
     return ps[j - i][:, i, None] * po[k][None, :]
 
@@ -107,6 +107,57 @@ class TestSplitViews:
                         assert right_s[k, i, s] == O[w - c, c + i, c + s]
                         assert right_i[k, i, s] == O[w - c, c + i, s]
                         assert left_i[k, i, s] == O[c, i, w - c + s]
+
+
+class TestPlan:
+    """The flat (w, c, i) split layout of `_plan` against spans(length)."""
+
+    @pytest.mark.parametrize("length", range(0, 13))
+    def test_span_endpoints_follow_spans(self, length):
+        left, right = reordering.span_endpoints(length)
+        assert left.dtype == right.dtype == np.intp
+        assert list(zip(left.tolist(), right.tolist())) == reordering.spans(length)
+
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_layout_follows_spans(self, length):
+        plan = reordering._plan(length)
+        row = {span: k for k, span in enumerate(reordering.spans(length))}
+        assert [w for w, _, _, _ in plan.blocks] == list(range(2, length + 1))
+        end = 0
+        for w, n, a, b in plan.blocks:
+            assert n == length - w + 1 and a == end and b - a == (w - 1) * n
+            end = b
+            for c in range(1, w):
+                for i in range(n):
+                    assert plan.span_of[a + (c - 1) * n + i] == row[(i, i + w)]
+        assert plan.span_of.shape == (end,)
+        for (i, j), k in row.items():
+            assert plan.cells[k] == (j - i) * length + i
+
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_split_posteriors_are_views_of_one_buffer(self, length):
+        plan = reordering._plan(length)
+        ss = random_chart(np.random.default_rng(length), length)
+        _, _, split, ps = reordering._chart_posteriors(ss.scores.value, plan)
+        base = byte_bounds(split)[0]
+        for w, n, a, b in plan.blocks:
+            assert ps[w].shape == (w - 1, n)
+            assert byte_bounds(ps[w]) == (base + a * split.itemsize, base + b * split.itemsize)
+            np.testing.assert_array_equal(ps[w], split[a:b].reshape(w - 1, n))
+
+    def test_plan_is_cached_and_read_only(self):
+        bound = reordering._PLAN_CACHE_LENGTHS
+        plan = reordering._plan(bound)
+        assert reordering._plan(bound) is plan
+        for arr in (plan.span_of, plan.cells):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        with pytest.raises(AttributeError):
+            plan.span_of = plan.span_of.copy()
+        longer = reordering._plan(bound + 1)
+        assert reordering._plan(bound + 1) is not longer
+        assert max(reordering._PLANS) <= bound
+        assert not longer.span_of.flags.writeable
 
 
 class TestSplitPosteriors:
