@@ -681,6 +681,11 @@ class ParameterStore:
     accumulates adjoints straight into `grads`, and the optimizer, clipping
     and snapshots each work on whole flat arrays.  A per-array flag records
     which grads were written since the last zero_grads.
+
+    version counts the writes made through Adam.step, load_state_arrays
+    and restore, so a Model.prepare result can tell that its weights went
+    stale.  Direct writes to the value views, as the gradchecks make, are
+    not counted.
     """
 
     def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]]):
@@ -695,6 +700,7 @@ class ParameterStore:
             self._layout[name] = (lo, size, tuple(shape))
         self._bounds = np.array([0] + [hi for _, hi, _ in self._layout.values()])
         self.values, self.grads = np.zeros((2, size))
+        self.version = 0
         # array i's flag is entry i + 1; the sentinels at both ends stay False
         self._touched = np.zeros(len(self._layout) + 2, dtype=bool)
         self._params = {
@@ -747,6 +753,7 @@ class ParameterStore:
         if arrays:
             np.concatenate([np.ravel(arrays[name]) for name in self._layout],
                            out=self.values)
+        self.version += 1
 
     def save(self, path) -> None:
         """Binary container: magic, version, count, then per parameter

@@ -21,10 +21,11 @@ the source or the weights, and complete finishes one candidate length:
 the structure, then the decoder.  The autoregressive decoder runs its
 LSTM through ar_context, on rows of the input pre-activation table that
 prepare built, over the whole target prefix when target ids are given
-(teacher forcing) and otherwise one greedy token at a time, carrying the
-[h; c] state row as a constant.  Both emit through token_distributions
-and one output_distributions call; they differ only in where the LSTM
-rows come from.
+(teacher forcing).  Greedy decoding is teacher forcing applied to a guess
+of the tokens, repeated from the first position where the guess was wrong,
+carrying the [h; c] state row as a constant, until the guess is its own
+argmax.  Both emit through token_distributions and one
+output_distributions call.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ class Prepared:
     The weight terms hold the weights as of prepare: proj and ar_rec, and
     ar_head without ar.proj, are views of the store, while head, ar_in and
     ar_head with ar.proj are copies.  So a Prepared must not be reused
-    across an optimizer step or a restore.
+    across an optimizer step or a restore: complete raises UsageError when
+    the store's version has moved since prepare (see ParameterStore).
     """
 
     source_ids: np.ndarray
@@ -168,6 +170,7 @@ class Prepared:
     # embedding width (see Model.ar_context)
     ar_in: Node | None        # (V, 4H) input pre-activations emb_tgt ar.W[:, :e]^T + ar.b
     ar_rec: Node | None       # (4H, H) recurrent block ar.W[:, e:]
+    version: int              # the store's version at prepare
 
     @property
     def length_probs(self) -> Node:
@@ -431,7 +434,7 @@ class Model:
             ar_in = ad.matmul(s["emb_tgt"], ad.transpose(w_in)) + s["ar.b"]
             ar_rec = ad.slice_(s["ar.W"], (slice(None), slice(cfg.embedding_dim, None)))
         return Prepared(ids, x, self.fertility_head(rows), perm, head, proj, ar_head,
-                        ar_in, ar_rec)
+                        ar_in, ar_rec, s.version)
 
     def structure(self, prep: Prepared, length: int) -> Structure:
         """The target-independent stages for one candidate output length."""
@@ -455,15 +458,31 @@ class Model:
         [0, target_vocab) per position, for every decoder.  The
         autoregressive decoder conditions position i on the LSTM row after
         the ids before it, and position 0 on the zero start row.  It is
-        teacher-forced on target_ids.  Without them it decodes greedily:
-        each step appends its (1, n*d, V) slot table and feeds the argmax
-        of mixing[pos] @ table, taken on plain values, to one ar_context
-        step; the rows then come from one output_distributions call over
-        all the tables, the call teacher forcing makes.  The greedy loop
-        carries the LSTM state as a constant, so no gradient flows from one
-        greedy step to the next.
+        teacher-forced on target_ids.  Without them it decodes greedily,
+        with the greedy tokens found as the fixed point of teacher forcing,
+        y_i = argmax of row i given y_<i (Jacobi decoding; Santilli et al.
+        2023).  The guess takes every position's token from position 0's
+        (1, n*d, V) slot table, the zero row's, mixed by that position's
+        mixing row, so position 0 is decided at once.  A pass from the
+        first undecided position s runs one ar_context over the guessed ids
+        from s-1 on, from the carried [h; c] state, and one
+        token_distributions over its rows; argmaxes of mixing[i] @ table[i]
+        are taken on plain values.  When none differs from the guess, every
+        position is decided.  Otherwise positions s..j are decided, j being
+        the first that differs, with its new argmax; the later positions
+        take theirs as the next guess, one more ar_context carries the
+        state over the newly decided ids, and the next pass starts at j+1.
+        Each pass decides at least one position, so there are at most
+        length - 1 passes.  The rows then come from one output_distributions
+        call over the decided positions' tables, the call teacher forcing
+        makes, so greedy rows are the teacher-forced rows of the greedy
+        tokens.  Gradient flows through the LSTM within a pass, but the
+        carried state is a constant, so none flows from one pass to the
+        next.
         """
         cfg = self.config
+        if prep.version != self.store.version:
+            raise ad.UsageError("stale Prepared: the weights changed since prepare")
         if target_ids is not None:
             ids = np.asarray(target_ids, dtype=np.intp)
             if ids.shape != (length,):
@@ -477,12 +496,25 @@ class Model:
             zero = ad.constant(np.zeros((1, cfg.decoder_hidden)))
             if target_ids is None:
                 mixing = st.mixing.value
-                tables, ar_row, state = [], zero, None
-                for pos in range(length):
-                    if tables:
-                        token = int(np.argmax(mixing[pos - 1] @ tables[-1].value[0]))
-                        ar_row, state = self.ar_context(prep, [token], state)
-                    tables.append(self.token_distributions(prep, ar_row))
+                first = self.token_distributions(prep, zero)
+                tokens = np.argmax(mixing @ first.value[0], axis=1)
+                tables, state, start = [first], None, 1
+                for _ in range(length):
+                    if start == length:
+                        break
+                    rows, _ = self.ar_context(prep, tokens[start - 1:-1], state)
+                    table = self.token_distributions(prep, rows)
+                    new = np.argmax(np.matmul(mixing[start:, None], table.value)[:, 0],
+                                    axis=1)
+                    changed = np.flatnonzero(new != tokens[start:])
+                    tokens[start:] = new
+                    end = length if changed.size == 0 else start + int(changed[0]) + 1
+                    if end == length:
+                        tables.append(table)
+                    else:
+                        tables.append(ad.slice_(table, slice(0, end - start)))
+                        state = self.ar_context(prep, tokens[start - 1:end - 1], state)[1]
+                    start = end
                 return st, self.output_distributions(ad.concat(tables, axis=0), st.mixing)
             ar_states = ad.concat([zero, self.ar_context(prep, ids[:-1])[0]], axis=0)
         token_probs = self.token_distributions(prep, ar_states)

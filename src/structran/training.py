@@ -235,6 +235,7 @@ class Adam:
             u *= self.lr
             u /= s
             values[lo:hi] -= u
+        self.store.version += 1
 
 
 def clip_gradients(store: ad.ParameterStore, max_norm: float) -> float:

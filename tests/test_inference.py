@@ -310,6 +310,54 @@ class TestPredictAutoregressive:
                     _, forced = m.complete(prep, length, np.argmax(rows, axis=1))
                     np.testing.assert_allclose(rows, forced.value, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("composition", ["fertility-first", "reorder-first"])
+    @pytest.mark.parametrize("hidden", [4, 5])  # equal to embedding_dim, or not
+    def test_greedy_matches_one_position_per_call(self, composition, hidden,
+                                                  monkeypatch):
+        # the reference decides one position per call: row i of teacher
+        # forcing depends only on the ids before i, so its argmax is greedy
+        # token i once those are decided
+        def one_position_per_call(m, prep, length):
+            ids = np.zeros(length, dtype=np.intp)
+            for i in range(length):
+                rows = m.complete(prep, length, ids)[1].value
+                ids[i] = np.argmax(rows[i])
+            return ids.tolist(), rows
+
+        calls = []
+        ar_context = Model.ar_context
+
+        def recorded(self, prep, prev_ids, state=None):
+            calls.append(len(prev_ids))
+            return ar_context(self, prep, prev_ids, state)
+
+        monkeypatch.setattr(Model, "ar_context", recorded)
+        rng = np.random.default_rng(hidden)
+        passes = []
+        for seed in range(5):
+            # sharp tables and a strong decoder LSTM, so guesses often miss
+            m = self.ar_model(seed=seed, sharp=True, composition=composition,
+                              decoder_hidden=hidden)
+            m.store["ar.W"].value *= 5.0
+            m.store["emb_tgt"].value *= 5.0
+            for n in (2, 3, 4):
+                src = [int(t) for t in rng.integers(0, 4, size=n)]
+                with ad.no_grad():
+                    prep = m.prepare(src)
+                    for length in feasible_lengths(m, src):
+                        calls.clear()
+                        rows = m.complete(prep, length)[1].value
+                        # one call per pass, and one more carrying the state
+                        # after each pass but the last
+                        assert len(calls) % 2 == 1 or not calls
+                        count = (len(calls) + 1) // 2
+                        assert count <= length and (count > 0) == (length > 1)
+                        passes.append(count)
+                        tokens, want = one_position_per_call(m, prep, length)
+                        assert np.argmax(rows, axis=1).tolist() == tokens
+                        np.testing.assert_allclose(rows, want, rtol=0, atol=1e-15)
+        assert max(passes) >= 2
+
     def test_structure_is_built_once_per_candidate_length(self, monkeypatch):
         m = self.ar_model(seed=4, sharp=True)
         src = [0, 2, 1]
@@ -339,7 +387,9 @@ class TestPredictAutoregressive:
         monkeypatch.setattr(ad, "lstm", recorded_lstm)
         decode(m, src, k=k)
         assert calls == {"perm": k, "marg": k}
-        assert steps == [1] * sum(length - 1 for length in lengths)
+        # every candidate is decided in one pass: one lstm call over the
+        # length - 1 guessed ids
+        assert steps == [length - 1 for length in lengths if length > 1]
 
     def test_fixed_model_is_deterministic(self):
         m = self.ar_model(seed=9)

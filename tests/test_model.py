@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from structran import autodiff as ad
-from structran import data, fertility, model as md, reordering
+from structran import data, fertility, model as md, reordering, training
 
 MIRROR_A = Path(__file__).resolve().parent.parent / "configs" / "mirror_a.json"
 
@@ -379,30 +379,42 @@ class TestOutputHead:
 
     @pytest.mark.parametrize("composition", md.COMPOSITION_ORDERS)
     @pytest.mark.parametrize("hidden", [4, 5])
-    def test_greedy_step_node_budget(self, composition, hidden, monkeypatch):
-        # a greedy step is one ar_context (row lookup, lstm) and one
+    def test_one_pass_greedy_node_budget(self, composition, hidden, monkeypatch):
+        # a greedy decode decided in one pass is teacher forcing on the
+        # guess (one ar_context of length - 1 steps, one token_distributions,
+        # the concat and output product) plus position 0's table, one more
         # token_distributions (AR product, reshape, add, tanh, product,
-        # reshape, softmax); the one concat and output product are per decode
+        # reshape, softmax): the same nodes at every length
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=hidden,
                                  composition=composition))
         prep = m.prepare([0, 2, 4, 1])
         with ad.no_grad():
             m.complete(prep, 1)  # the fertility table caches its DP tables
-        made = [0]
-        make_node = ad.make_node
+        made, steps = [0], []
+        make_node, lstm = ad.make_node, ad.lstm
 
         def counting(value, parents, backward_fn):
             made[0] += 1
             return make_node(value, parents, backward_fn)
 
+        def recorded_lstm(zx, wh, state=None):
+            steps.append(zx.shape[0])
+            return lstm(zx, wh, state)
+
         monkeypatch.setattr(ad, "make_node", counting)
+        monkeypatch.setattr(ad, "lstm", recorded_lstm)
         counts = []
         for length in range(2, 9):
-            made[0] = 0
             with ad.no_grad():
-                m.complete(prep, length)
-            counts.append(made[0])
-        assert np.diff(counts).tolist() == [9] * 6
+                made[0] = 0
+                ys = np.argmax(m.complete(prep, length)[1].value, axis=1)
+                greedy = made[0]
+                made[0] = 0
+                m.complete(prep, length, ys)
+            assert steps == [length - 1] * 2 and greedy == made[0] + 7
+            steps.clear()
+            counts.append(greedy)
+        assert counts == [counts[0]] * 7
 
     @pytest.mark.parametrize("hidden", [4, 5])
     def test_greedy_decode_reads_the_decoder_weights_only_through_prepare(
@@ -422,6 +434,44 @@ class TestOutputHead:
         monkeypatch.setattr(ad, "make_node", recording)
         _, rows = m.complete(prep, 6)
         assert rows.shape == (6, 6) and readers == []
+
+
+class TestStalePrepared:
+    # the store's version moves with every write made through Adam.step,
+    # load_state_arrays and restore; complete refuses a Prepared made before
+    def model_and_prep(self):
+        m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=4))
+        return m, m.prepare([0, 2, 4])
+
+    def assert_stale(self, m, prep):
+        with pytest.raises(ad.UsageError, match="stale Prepared"):
+            m.complete(prep, 3)
+        with pytest.raises(ad.UsageError, match="stale Prepared"):
+            m.complete(prep, 3, [0, 1, 2])
+        m.complete(m.prepare([0, 2, 4]), 3)
+
+    def test_adam_step(self):
+        m, prep = self.model_and_prep()
+        m.complete(prep, 3)
+        training.Adam(m.store, training.TrainConfig()).step()
+        self.assert_stale(m, prep)
+
+    def test_load_state_arrays(self):
+        m, prep = self.model_and_prep()
+        m.store.load_state_arrays(m.store.state_arrays())
+        self.assert_stale(m, prep)
+
+    def test_restore(self, tmp_path):
+        m, prep = self.model_and_prep()
+        path = tmp_path / "model.ckpt"
+        m.store.save(path)
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ad.UsageError, match="truncated"):
+            m.store.restore(cut)
+        m.complete(prep, 3)  # a refused checkpoint writes nothing
+        m.store.restore(path)
+        self.assert_stale(m, prep)
 
 
 class TestCopyDecoder:
