@@ -399,7 +399,9 @@ def softmax(a: Node, tau: float = 1.0, axis: int = -1) -> Node:
 def lse_softmax(x: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
     """log sum exp of x along `axis` (kept as a size-1 axis) and the softmax.
 
-    A slice that is all -inf gives -inf with all-zero weights.
+    A slice that is all -inf gives -inf with all-zero weights.  The
+    reordering DP takes its orientation softmax here; the DPs' sums over
+    splits and counts are np.logaddexp reductions instead, one call each.
     """
     m, e, s = _shifted_exp(x, axis)
     return np.log(s) + m, e / s
@@ -454,30 +456,38 @@ def _recurrence(zx: np.ndarray, wh: np.ndarray, h0=None, c0=None):
     pre-activations; the scales are powers of two, so scaling here is
     exact and no caller builds a scaled copy of zx or wh.
 
+    Step t works in one row [c_t | i f g o] of width 5K, so that one
+    multiply of [c_t | i] by [f | g] gives [c_t f, i g] and one add of its
+    halves gives c_{t+1}, the first K entries of the next row.
+
     Returns hs and cs (T+1, K), whose row 0 is the start state, and what
     _recurrence_adjoint needs: the gate activations (T, 4K) and tanh of
-    the cell states (T, K).
+    the cell states (T, K).  cs and the activations are views of the rows.
     """
     steps, width = zx.shape[0], wh.shape[1]
     scale, shift = _gate_scale(width)
-    hs, cs = np.zeros((steps + 1, width)), np.zeros((steps + 1, width))
+    hs = np.zeros((steps + 1, width))
+    rows = np.zeros((steps + 1, 5 * width))  # the last row holds only c_T
+    cs = rows[:, :width]
     if h0 is not None:
         hs[0], cs[0] = h0, c0
-    act = np.empty((steps, 4 * width))
     tanh_c = np.empty((steps, width))
-    for t in range(steps):
-        a = act[t]
-        np.dot(wh, hs[t], out=a)
-        a += zx[t]
+    prod = np.empty(2 * width)
+    cf, ig = prod[:width], prod[width:]
+    for h, a, ci, fg, o, z, c_next, tc, h_next in zip(
+            hs, rows[:, width:], rows[:, :2 * width], rows[:, 2 * width:4 * width],
+            rows[:, 4 * width:], zx, cs[1:], tanh_c, hs[1:]):
+        np.dot(wh, h, out=a)
+        a += z
         a *= scale
         np.tanh(a, out=a)
         a *= scale
         a += shift
-        np.multiply(a[width:2 * width], cs[t], out=cs[t + 1])
-        cs[t + 1] += a[:width] * a[2 * width:3 * width]
-        np.tanh(cs[t + 1], out=tanh_c[t])
-        np.multiply(a[3 * width:], tanh_c[t], out=hs[t + 1])
-    return hs, cs, act, tanh_c
+        np.multiply(ci, fg, out=prod)
+        np.add(cf, ig, out=c_next)
+        np.tanh(c_next, out=tc)
+        np.multiply(o, tc, out=h_next)
+    return hs, cs, rows[:-1, width:], tanh_c
 
 
 def _recurrence_adjoint(wh, cs, act, tanh_c, dh_out):
@@ -577,8 +587,10 @@ def bilstm(inputs: Node, w_fw: Node, b_fw: Node, w_bw: Node, b_bw: Node) -> Node
     def interleave(a_fw: np.ndarray, a_bw: np.ndarray) -> np.ndarray:
         """Per-direction rows (4H, ...) to the gate-major rows (4K, ...)."""
         rest = a_fw.shape[1:]
-        return np.stack([a_fw.reshape(4, hdim, *rest), a_bw.reshape(4, hdim, *rest)],
-                        axis=1).reshape(4 * width, *rest)
+        out = np.empty((4, 2, hdim) + rest)
+        out[:, 0] = a_fw.reshape(4, hdim, *rest)
+        out[:, 1] = a_bw.reshape(4, hdim, *rest)
+        return out.reshape(4 * width, *rest)
 
     def direction(a: np.ndarray, d: int) -> np.ndarray:
         """The rows (4H, ...) of direction d in gate-major rows (4K, ...)."""

@@ -83,19 +83,18 @@ class FertilityTable:
 # ---------------------------------------------------------------------------
 # log-space prefix sweeps and their adjoint
 
-def _window(out: np.ndarray, i: int, dp1: int) -> np.ndarray:
+def _window(out: np.ndarray, i: int, dp1: int, top: int) -> np.ndarray:
     """Row i of a padded prefix table, shifted once per count: a strided
-    (K, d+1, width) view with window[k, r, h] = out[k, i, d + h - r].
+    (K, d+1, top) view with window[k, r, h] = out[k, i, d + h - r].
 
     out is (K, n+1, d + width) with d = dp1 - 1 leading pad columns, so
-    every index d + h - r lies in 0..d+width-1.  The view comes from the
-    ndarray constructor over out's buffer, which raises ValueError for a
-    view that would reach outside it.
+    every index d + h - r lies in 0..d+width-1 for top <= width.  The view
+    comes from the ndarray constructor over out's buffer, which raises
+    ValueError for a view that would reach outside it.
     """
     k0, k1, k2 = out.strides
-    d = dp1 - 1
-    return np.ndarray((out.shape[0], dp1, out.shape[2] - d), out.dtype, out,
-                      i * k1 + d * k2, (k0, -k2, k2))
+    return np.ndarray((out.shape[0], dp1, top), out.dtype, out,
+                      i * k1 + (dp1 - 1) * k2, (k0, -k2, k2))
 
 
 def _sweep(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,18 +102,27 @@ def _sweep(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out[k][i][h] = log P(f_1 + .. + f_i = h) under logp[k], (K, n, d+1).
 
     Also returns weights[k][i][r][h], the share of out[k][i+1][h] that has
-    f_{i+1} = r, which is the local derivative the adjoint needs.
+    f_{i+1} = r, which is the local derivative the adjoint needs.  Each row
+    writes its log terms into weights and reduces them with one logaddexp
+    over r, into out; the shares are normalized after the loop, all rows
+    at once.  Row i+1 can reach the totals 0..(i+1)*d only, so each row
+    works on those; the rest of out stays -inf.  An infeasible total
+    (-inf) has all-zero shares, with no warning raised.
     """
     stack, n, dp1 = logp.shape
     d = dp1 - 1
     width = n * d + 1
     out = np.full((stack, n + 1, d + width), -np.inf)  # d leading -inf columns pad the shifts
     out[:, 0, d] = 0.0
-    weights = np.empty((stack, n, dp1, width))
+    weights = np.full((stack, n, dp1, width), -np.inf)
     for i in range(n):
-        total, weights[:, i] = ad.lse_softmax(logp[:, i, :, None] + _window(out, i, dp1),
-                                              axis=1)
-        out[:, i + 1, d:] = total[:, 0]
+        top = (i + 1) * d + 1  # the totals above (i+1)*d stay -inf
+        terms = np.add(logp[:, i, :, None], _window(out, i, dp1, top),
+                       out=weights[:, i, :, :top])
+        np.logaddexp.reduce(terms, axis=1, out=out[:, i + 1, d:d + top])
+    # a -inf total's terms are all -inf, and -inf less -DBL_MAX stays -inf
+    weights -= np.maximum(out[:, 1:, None, d:], ad._LOWEST)
+    np.exp(weights, out=weights)
     return out[:, :, d:], weights
 
 

@@ -153,17 +153,31 @@ def _chart_posteriors(scores: np.ndarray, plan: _Plan):
     spans(length).  split is the flat (T,) buffer of split posteriors in
     the plan's layout, and ps[w] its (w-1, n) block: ps[w][c-1][i] is the
     posterior of the split at i+c of span (i, i+w).
+
+    Each width writes its split log-scores left + right into its block
+    and reduces them with one logaddexp over the splits; only that sum is
+    read by wider spans.  The blocks are normalized after the loop, all
+    at once: each split less its span's sum, exponentiated in place.
     """
     orient_lse, po = ad.lse_softmax(scores, axis=1)
     Z = np.zeros((plan.length + 1, plan.length))
     np.put(Z, plan.cells, orient_lse[:, 0])  # the splits' lse is added per width
     split = np.empty(plan.span_of.size)
+    split_lse = np.empty(len(scores))  # per span row, width-major
     ps: list[np.ndarray | None] = [None, None]
+    row = 0
     for w, n, a, b in plan.blocks:
         left, right = _split_views(Z, w)
-        m, e, s = ad._shifted_exp(left + right, 0)
-        Z[w, :n] += (np.log(s) + m)[0]
-        ps.append(np.divide(e, s, out=split[a:b].reshape(w - 1, n)))
+        s = np.add(left, right, out=split[a:b].reshape(w - 1, n))
+        lse = np.logaddexp.reduce(s, axis=0, out=split_lse[row:row + n])
+        Z[w, :n] += lse
+        ps.append(s)
+        row += n
+    split -= split_lse.take(plan.span_of)
+    np.exp(split, out=split)
+    # the sequential reduction rounds at the scale of Z, up to 1e-12 at
+    # L = 81; dividing by each span's sum takes that out of the posteriors
+    split /= np.bincount(plan.span_of, split, len(scores)).take(plan.span_of)
     return Z, po, split, ps
 
 

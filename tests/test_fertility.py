@@ -30,6 +30,17 @@ def softmax_table(logits: ad.Node) -> fertility.FertilityTable:
     return fertility.FertilityTable(ad.softmax(logits, axis=-1))
 
 
+def assert_sweep_shares(ft: fertility.FertilityTable) -> None:
+    """The shares of the stacked prefix/suffix sweep are finite, exactly 0
+    at infeasible totals, and sum to 1 over the counts elsewhere."""
+    logp = ft.log_probs
+    out, weights = fertility._sweep(np.stack([logp, logp[::-1]]))
+    assert np.isfinite(weights).all()
+    infeasible = out[:, 1:] == -np.inf
+    assert (weights.transpose(0, 1, 3, 2)[infeasible] == 0.0).all()
+    np.testing.assert_allclose(weights.sum(axis=2)[~infeasible], 1.0, rtol=0, atol=1e-12)
+
+
 class TestLengthTables:
     def test_deterministic_ones(self):
         prefix = np.exp(table([[0, 1], [0, 1]]).log_tables.value[0])
@@ -61,6 +72,7 @@ class TestTableChecks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ft = fertility.FertilityTable(node)
+            assert_sweep_shares(ft)
             dist = fertility.length_distribution(ft).value
             for length in (1, 5, 6):
                 with pytest.raises(fertility.InfeasibleLengthError):
@@ -207,12 +219,14 @@ class TestWindow:
         shifted = d + np.arange(width) - np.arange(d + 1)[:, None]
         lo, hi = byte_bounds(out)
         for i in range(n):
-            view = fertility._window(out, i, d + 1)
-            assert view.shape == (2, d + 1, width)
-            np.testing.assert_array_equal(view, out[:, i, shifted])
-            v_lo, v_hi = byte_bounds(view)
-            assert lo <= v_lo and v_hi <= hi
-            assert np.shares_memory(view, out)
+            # the sweep's width at row i, and the whole row
+            for top in ((i + 1) * d + 1, width):
+                view = fertility._window(out, i, d + 1, top)
+                assert view.shape == (2, d + 1, top)
+                np.testing.assert_array_equal(view, out[:, i, shifted[:, :top]])
+                v_lo, v_hi = byte_bounds(view)
+                assert lo <= v_lo and v_hi <= hi
+                assert np.shares_memory(view, out)
 
 
 class TestOperationCount:
@@ -265,6 +279,9 @@ class TestLongEnd:
                 for l in range(1, self.N * self.D + 1)]
         assert all(math.isfinite(v) for v in logs)
         assert np.logaddexp.reduce(logs) == pytest.approx(0.0, abs=1e-9)
+
+    def test_sweep_shares_normalize(self):
+        assert_sweep_shares(softmax_table(ad.constant(self.logits())))
 
     @pytest.mark.parametrize("length", [41, 80, 120])
     def test_marginal_columns_normalize(self, length):

@@ -261,6 +261,11 @@ class TestLongEnd:
             scores = rng.normal(size=(rows, 2)) * 2.0
         else:
             scores = rng.choice([-40.0, 40.0], size=(rows, 2))
+        plan = reordering._plan(length)
+        _, _, split, _ = reordering._chart_posteriors(scores, plan)
+        assert np.isfinite(split).all()
+        np.testing.assert_allclose(np.bincount(plan.span_of, split), np.ones(rows),
+                                   rtol=0, atol=1e-12)
         node = ad.parameter(scores)
         perm = reordering.expected_permutation(reordering.SpanScores(length, node))
         ad.backward(ad.sum_(ad.mul(perm, ad.constant(rng.normal(size=(length, length))))))
