@@ -157,7 +157,8 @@ def _chart_posteriors(scores: np.ndarray, plan: _Plan):
     Each width writes its split log-scores left + right into its block
     and reduces them with one logaddexp over the splits; only that sum is
     read by wider spans.  The blocks are normalized after the loop, all
-    at once: each split less its span's sum, exponentiated in place.
+    at once: each split less its span's sum, exponentiated in place and
+    divided by its span's total.
     """
     orient_lse, po = ad.lse_softmax(scores, axis=1)
     Z = np.zeros((plan.length + 1, plan.length))
@@ -175,8 +176,9 @@ def _chart_posteriors(scores: np.ndarray, plan: _Plan):
         row += n
     split -= split_lse.take(plan.span_of)
     np.exp(split, out=split)
-    # the sequential reduction rounds at the scale of Z, up to 1e-12 at
-    # L = 81; dividing by each span's sum takes that out of the posteriors
+    # the sequential reduction rounds at the scale of Z, so a span's
+    # posteriors can sum to 1 only within 1e-12 at L = 81; this divides
+    # that rounding out
     split /= np.bincount(plan.span_of, split, len(scores)).take(plan.span_of)
     return Z, po, split, ps
 
