@@ -245,6 +245,31 @@ def matmul(a, b) -> Node:
     return make_node(v, (a, b), bw)
 
 
+def linear(x, w, b=None) -> Node:
+    """The affine map x wᵀ + b as one node: x (..., in), w (out, in) read as
+    stored, b (out,) or None, giving (..., out).  w's gradient is the sum
+    of gᵀ x over every leading row of x."""
+    x, w = _wrap(x), _wrap(w)
+    parents = (x, w) if b is None else (x, w, _wrap(b))
+    if (x.ndim < 1 or w.ndim != 2 or x.value.shape[-1] != w.value.shape[1]
+            or (b is not None and parents[2].value.shape != w.value.shape[:1])):
+        raise ShapeError("linear", *(p.shape for p in parents))
+    v = x.value @ w.value.T
+    if b is not None:
+        v += parents[2].value
+
+    def bw(g):
+        if x.requires_grad:
+            _acc(x, g @ w.value)
+        if w.requires_grad:
+            xs = x.value.reshape(-1, x.value.shape[-1])
+            _acc(w, (xs.T @ g.reshape(-1, g.shape[-1])).T)
+        if b is not None:
+            _acc(parents[2], g.sum(axis=tuple(range(g.ndim - 1))))
+
+    return make_node(v, parents, bw)
+
+
 # ---------------------------------------------------------------------------
 # shape plumbing
 
@@ -445,38 +470,38 @@ def _gate_scale(width: int) -> tuple[np.ndarray, np.ndarray]:
     return _GATE_SCALES[width]
 
 
-def _recurrence(zx: np.ndarray, wh: np.ndarray, h0=None, c0=None):
+def _recurrence(zx: np.ndarray, wh: np.ndarray, start=None):
     """The LSTM step loop, over gate-major pre-activations of width K.
 
     zx (T, 4K) holds the input terms and the bias of every step and wh
     (4K, K) the recurrent weights; rows g*K .. (g+1)*K are gate g of
-    (input, forget, cell, output).  The state starts from h0, c0 (zeros
-    when omitted).  Every step is one product, one add, one multiply by
-    the gate scale (see _gate_scale) and one tanh over all 4K
-    pre-activations; the scales are powers of two, so scaling here is
-    exact and no caller builds a scaled copy of zx or wh.
+    (input, forget, cell, output).  The state starts from start, the
+    (2K,) row [h_0; c_0] (zeros when omitted).  Every step is one product,
+    one add, one multiply by the gate scale (see _gate_scale) and one tanh
+    over all 4K pre-activations; the scales are powers of two, so scaling
+    here is exact and no caller builds a scaled copy of zx or wh.
 
-    Step t works in one row [c_t | i f g o] of width 5K, so that one
+    Step t works in one row [h_t | c_t | i f g o] of width 6K, so that one
     multiply of [c_t | i] by [f | g] gives [c_t f, i g] and one add of its
-    halves gives c_{t+1}, the first K entries of the next row.
+    halves gives c_{t+1}; h_{t+1} and c_{t+1} open the next row.
 
-    Returns hs and cs (T+1, K), whose row 0 is the start state, and what
-    _recurrence_adjoint needs: the gate activations (T, 4K) and tanh of
-    the cell states (T, K).  cs and the activations are views of the rows.
+    Returns the states (T+1, 2K), whose row t is [h_t; c_t] (row 0 the
+    start), and what _recurrence_adjoint needs besides: the gate
+    activations (T, 4K) and tanh of the cell states (T, K).  The states
+    and the activations are views of the rows.
     """
     steps, width = zx.shape[0], wh.shape[1]
     scale, shift = _gate_scale(width)
-    hs = np.zeros((steps + 1, width))
-    rows = np.zeros((steps + 1, 5 * width))  # the last row holds only c_T
-    cs = rows[:, :width]
-    if h0 is not None:
-        hs[0], cs[0] = h0, c0
+    rows = np.zeros((steps + 1, 6 * width))  # the last row holds only h_T, c_T
+    if start is not None:
+        rows[0, :2 * width] = start
     tanh_c = np.empty((steps, width))
     prod = np.empty(2 * width)
     cf, ig = prod[:width], prod[width:]
-    for h, a, ci, fg, o, z, c_next, tc, h_next in zip(
-            hs, rows[:, width:], rows[:, :2 * width], rows[:, 2 * width:4 * width],
-            rows[:, 4 * width:], zx, cs[1:], tanh_c, hs[1:]):
+    for h, a, ci, fg, o, z, h_next, c_next, tc in zip(
+            rows[:, :width], rows[:, 2 * width:], rows[:, width:3 * width],
+            rows[:, 3 * width:5 * width], rows[:, 5 * width:], zx,
+            rows[1:, :width], rows[1:, width:2 * width], tanh_c):
         np.dot(wh, h, out=a)
         a += z
         a *= scale
@@ -487,35 +512,40 @@ def _recurrence(zx: np.ndarray, wh: np.ndarray, h0=None, c0=None):
         np.add(cf, ig, out=c_next)
         np.tanh(c_next, out=tc)
         np.multiply(o, tc, out=h_next)
-    return hs, cs, rows[:-1, width:], tanh_c
+    return rows[:, :2 * width], rows[:-1, 2 * width:], tanh_c
 
 
-def _recurrence_adjoint(wh, cs, act, tanh_c, dh_out):
+def _recurrence_adjoint(wh, states, act, tanh_c, dh_out):
     """Backprop through time for _recurrence, in one reverse sweep.
 
-    wh is the recurrent matrix _recurrence ran with and dh_out (T, K) the
-    adjoint of hs[1:].  The gate activations already carry the gate
-    scale, so the sweep needs no scale of its own.  Returns the adjoints
-    dz (T, 4K) of the pre-activations zx of every step.
+    wh is the recurrent matrix _recurrence ran with, states, act and tanh_c
+    what it returned, and dh_out (T, K) the adjoint of the hidden states
+    after each step.  The gate activations already carry the gate scale,
+    so the sweep needs no scale of its own.  Like the step loop, the sweep
+    zips over row views of preallocated arrays and writes each step's
+    results in place.  Returns the adjoints dz (T, 4K) of the
+    pre-activations zx of every step.
     """
     steps, width = dh_out.shape
     i, f = act[:, :width], act[:, width:2 * width]
     gc, o = act[:, 2 * width:3 * width], act[:, 3 * width:]
     dh_to_dc = o * (1.0 - tanh_c * tanh_c)
     # dz[t] = coef[t] * [dc_t, dc_t, dc_t, dh_t], block by block
-    coef = np.stack([gc * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
+    coef = np.stack([gc * i * (1.0 - i), states[:-1, width:] * f * (1.0 - f),
                      i * (1.0 - gc * gc), tanh_c * o * (1.0 - o)], axis=1)
     dz = np.empty((steps, 4, width))
     wh_t = wh.T
+    dh, dc = np.empty(width), np.empty(width)
     dh_next, dc_next = np.zeros(width), np.zeros(width)
-    for t in range(steps - 1, -1, -1):
-        dh = dh_out[t] + dh_next
-        dc = dh * dh_to_dc[t]
+    for g, to_dc, co, ft, d in zip(dh_out[::-1], dh_to_dc[::-1], coef[::-1], f[::-1],
+                                   dz[::-1]):
+        np.add(g, dh_next, out=dh)
+        np.multiply(dh, to_dc, out=dc)
         dc += dc_next
-        np.multiply(coef[t, :3], dc, out=dz[t, :3])
-        np.multiply(coef[t, 3], dh, out=dz[t, 3])
-        dc_next = dc * f[t]
-        dh_next = wh_t @ dz[t].reshape(-1)
+        np.multiply(co[:3], dc, out=d[:3])
+        np.multiply(co[3], dh, out=d[3])
+        np.multiply(dc, ft, out=dc_next)
+        np.dot(wh_t, d.reshape(-1), out=dh_next)
     return dz.reshape(steps, 4 * width)
 
 
@@ -527,8 +557,10 @@ def lstm(zx: Node, wh: Node, state: np.ndarray | None = None) -> tuple[Node, np.
     wh is the (4H, H) recurrent block; the gate blocks are (input, forget,
     cell, output).  The recurrence starts from state, a constant (2H,)
     array [h_0; c_0], or from zeros.  Returns the node of the hidden
-    states (T, H), row t being h_t, and the array [h_T; c_T] to continue
-    from (the start state when T = 0).  No gradient flows into state.
+    states (T, H), row t being h after input row t, and the plain
+    (T+1, 2H) array of the [h; c] rows: row k is the state after k steps,
+    row 0 the start state, so any row can start a later call.  No
+    gradient flows into state.
 
     The caller forms zx, so the input contributions of all steps are one
     matrix product outside the recurrence (Appleyard et al. 2016), or a
@@ -540,62 +572,47 @@ def lstm(zx: Node, wh: Node, state: np.ndarray | None = None) -> tuple[Node, np.
     hdim = wh.value.shape[-1]
     if zx.ndim != 2 or wh.value.shape != (4 * hdim, hdim) or zx.value.shape[1] != 4 * hdim:
         raise ShapeError("lstm", zx.shape, wh.shape)
-    start = ()
     if state is not None:
         state = np.asarray(state)
         if state.shape != (2 * hdim,):
             raise ShapeError("lstm", wh.shape, state.shape)
-        start = state[:hdim], state[hdim:]
-    hs, cs, act, tanh_c = _recurrence(zx.value, wh.value, *start)
+    states, act, tanh_c = _recurrence(zx.value, wh.value, state)
+    hs = states[:, :hdim]
 
     def bw(g):
-        dz = _recurrence_adjoint(wh.value, cs, act, tanh_c, g)
+        dz = _recurrence_adjoint(wh.value, states, act, tanh_c, g)
         _acc(zx, dz)
         _acc(wh, dz.T @ hs[:-1])
 
-    return make_node(hs[1:], (zx, wh), bw), np.concatenate([hs[-1], cs[-1]])
+    return make_node(hs[1:], (zx, wh), bw), states
 
 
-def bilstm(inputs: Node, w_fw: Node, b_fw: Node, w_bw: Node, b_bw: Node) -> Node:
+def bilstm(inputs: Node, wx: Node, wh: Node, b: Node) -> Node:
     """Both directions of a bidirectional LSTM over the rows of inputs (T, D)
     as a single op.
 
-    Each direction has its own w (4H, D + H), the input and recurrent
-    weights side by side, and b (4H,), with lstm's gate blocks.  Returns
-    the hidden states (T, 2H) whose row t is [h_fw_t; h_bw_t]: the
-    forward state after rows 0..t and the backward state after rows T-1
-    down to t.
+    The two directions are one recurrence of width K = 2H, gate major and
+    direction minor, and the weights are stored that way: row g*K + d*H + j
+    of the input weights wx (4K, D) and of the bias b (4K,) is unit j of
+    gate g in direction d (0 forward, 1 backward), with lstm's gate
+    blocks, and wh (4, 2, H, H) holds the recurrent block wh[g, d] of gate
+    g in direction d.  Returns the hidden states (T, 2H) whose row t is
+    [h_fw_t; h_bw_t]: the forward state after rows 0..t and the backward
+    state after rows T-1 down to t.
 
-    Inside, the two directions are one recurrence of width K = 2H, gate
-    major and direction minor: row g*K + d*H + j is unit j of gate g in
-    direction d (0 forward, 1 backward).  The recurrent matrix is block
-    diagonal inside each gate block, and step t of the backward direction
-    reads input row T-1-t, so each step runs on contiguous slices of both
-    directions at once.  The backward sweep is likewise one for both.
+    The recurrent matrix is block diagonal inside each gate block, laid
+    out from wh once per call, and step t of the backward direction reads
+    input row T-1-t, so each step runs on contiguous slices of both
+    directions at once.  The backward sweep is likewise one for both, and
+    every gradient comes out in its weight's layout.
     """
-    x = _wrap(inputs)
-    params = tuple(_wrap(p) for p in (w_fw, b_fw, w_bw, b_bw))
-    w_fw, b_fw, w_bw, b_bw = params
-    hdim = w_fw.value.shape[0] // 4
-    if x.ndim != 2 or any(w.value.shape != (4 * hdim, x.value.shape[1] + hdim)
-                          or b.value.shape != (4 * hdim,)
-                          for w, b in ((w_fw, b_fw), (w_bw, b_bw))):
-        raise ShapeError("bilstm", x.shape, *(p.shape for p in params))
-    steps, in_dim = x.value.shape
+    x, wx, wh, b = (_wrap(a) for a in (inputs, wx, wh, b))
+    hdim = wh.value.shape[-1]
     width = 2 * hdim
-
-    def interleave(a_fw: np.ndarray, a_bw: np.ndarray) -> np.ndarray:
-        """Per-direction rows (4H, ...) to the gate-major rows (4K, ...)."""
-        rest = a_fw.shape[1:]
-        out = np.empty((4, 2, hdim) + rest)
-        out[:, 0] = a_fw.reshape(4, hdim, *rest)
-        out[:, 1] = a_bw.reshape(4, hdim, *rest)
-        return out.reshape(4 * width, *rest)
-
-    def direction(a: np.ndarray, d: int) -> np.ndarray:
-        """The rows (4H, ...) of direction d in gate-major rows (4K, ...)."""
-        rest = a.shape[1:]
-        return a.reshape(4, 2, hdim, *rest)[:, d].reshape(4 * hdim, *rest)
+    if (x.ndim != 2 or wx.value.shape != (4 * width, x.value.shape[1])
+            or wh.value.shape != (4, 2, hdim, hdim) or b.value.shape != (4 * width,)):
+        raise ShapeError("bilstm", x.shape, wx.shape, wh.shape, b.shape)
+    steps = x.value.shape[0]
 
     def reverse_backward_steps(z: np.ndarray) -> np.ndarray:
         """Swap between input row order and step order: the backward
@@ -604,29 +621,27 @@ def bilstm(inputs: Node, w_fw: Node, b_fw: Node, w_bw: Node, b_bw: Node) -> Node
         z4[:, :, 1] = z4[::-1, :, 1].copy()
         return z
 
-    wx = interleave(w_fw.value[:, :in_dim], w_bw.value[:, :in_dim])
-    wh = np.zeros((4, 2, hdim, 2, hdim))
-    for d, w in enumerate((w_fw, w_bw)):
-        wh[:, d, :, d] = w.value[:, in_dim:].reshape(4, hdim, hdim)
-    wh = wh.reshape(4 * width, width)
-    zx = x.value @ wx.T + interleave(b_fw.value, b_bw.value)
-    hs, cs, act, tanh_c = _recurrence(reverse_backward_steps(zx), wh)
+    def diagonal_blocks(a: np.ndarray) -> np.ndarray:
+        """The (4, 2, H, H) view of the blocks [g, d, :, d, :] of a (4K, K)."""
+        return np.einsum("gdidj->gdij", a.reshape(4, 2, hdim, 2, hdim))
+
+    rec = np.zeros((4 * width, width))
+    diagonal_blocks(rec)[...] = wh.value
+    zx = x.value @ wx.value.T + b.value
+    states, act, tanh_c = _recurrence(reverse_backward_steps(zx), rec)
+    hs = states[:, :width]
     v = np.concatenate([hs[1:, :hdim], hs[:0:-1, hdim:]], axis=1)
 
     def bw(g):
         dh_out = np.concatenate([g[:, :hdim], g[::-1, hdim:]], axis=1)
-        dz = _recurrence_adjoint(wh, cs, act, tanh_c, dh_out)
-        dz4 = dz.reshape(steps, 4, 2, hdim)
-        dwh = [dz4[:, :, d].reshape(steps, 4 * hdim).T @ hs[:-1, d * hdim:(d + 1) * hdim]
-               for d in range(2)]
+        dz = _recurrence_adjoint(rec, states, act, tanh_c, dh_out)
+        _acc(wh, diagonal_blocks(dz.T @ hs[:-1]))
         dz = reverse_backward_steps(dz)
-        dwx, db = dz.T @ x.value, dz.sum(axis=0)
-        for d, (w, b) in enumerate(((w_fw, b_fw), (w_bw, b_bw))):
-            _acc(w, np.concatenate([direction(dwx, d), dwh[d]], axis=1))
-            _acc(b, direction(db, d))
-        _acc(x, dz @ wx)
+        _acc(wx, dz.T @ x.value)
+        _acc(b, dz.sum(axis=0))
+        _acc(x, dz @ wx.value)
 
-    return make_node(v, (x,) + params, bw)
+    return make_node(v, (x, wx, wh, b), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,11 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
                          ("broadcast", [(4, 1, 3), (1, 3, 2)])):
         case(f"matmul.{name}", lambda n: _weighted(ad.matmul(n[0], n[1])),
              lambda r: [r(shape) for shape in shapes])
+    case("linear.bias", lambda n: _weighted(ad.linear(*n)),
+         lambda r: [r((4, 3)), r((2, 3)), r(2)])
+    # the slot-table projection: (rows, n, m) features, no bias
+    case("linear.batched", lambda n: _weighted(ad.linear(*n)),
+         lambda r: [r((2, 3, 4)), r((5, 4))])
     case("concat.axis1", lambda n: _weighted(ad.concat(n, axis=1)),
          lambda r: [r((3, 2)), r((3, 4)), r((3, 1))])
     case("slice.basic",
@@ -164,8 +169,9 @@ def op_cases(seed: int = 0) -> list[tuple[str, Callable, list[np.ndarray]]]:
     # a non-zero start state puts h_0 into row 0 of wh's gradient
     case("lstm.start", lambda n: _weighted(ad.lstm(*n, np.linspace(-0.9, 0.9, 6))[0]),
          lambda r: [r((5, 12)), r((12, 3))])
+    # x, wx, wh and b; T=5, D=2, H=3
     case("bilstm", lambda n: _weighted(ad.bilstm(*n)),
-         lambda r: [r((5, 2)), r((12, 5)), r(12), r((12, 5)), r(12)])  # T=5, D=2, H=3
+         lambda r: [r((5, 2)), r((24, 2)), r((4, 2, 3, 3)), r(24)])
 
     return cases
 

@@ -34,7 +34,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -150,11 +150,12 @@ def _span_incidence(length: int) -> np.ndarray:
 class Prepared:
     """Length-independent forward state, reused across candidate lengths.
 
-    The weight terms hold the weights as of prepare: proj and ar_rec, and
-    ar_head without ar.proj, are views of the store, while head, ar_in and
-    ar_head with ar.proj are copies.  So a Prepared must not be reused
-    across an optimizer step or a restore: complete raises UsageError when
-    the store's version has moved since prepare (see ParameterStore).
+    The weight terms hold the weights as of prepare: head, ar_in and
+    ar_head with ar.proj are copies, and ar_head without ar.proj is
+    out.mlp.W1 itself; complete reads out.proj and ar.Wh from the store.
+    So a Prepared must not be reused across an optimizer step or a
+    restore: complete raises UsageError when the store's version has moved
+    since prepare (see ParameterStore).
     """
 
     source_ids: np.ndarray
@@ -164,12 +165,11 @@ class Prepared:
     # the output head's terms that do not depend on the AR row (see
     # Model.token_distributions), with h' the decoder context of encode
     head: Node                # (n, m) source term h' W1^T + b1
-    proj: Node                # (m, d*V) out.proj, column u*V + y
-    ar_head: Node | None      # (H, m) LSTM row into the MLP, autoregressive only
-    # the decoder LSTM's weight terms, autoregressive only, with e the
-    # embedding width (see Model.ar_context)
-    ar_in: Node | None        # (V, 4H) input pre-activations emb_tgt ar.W[:, :e]^T + ar.b
-    ar_rec: Node | None       # (4H, H) recurrent block ar.W[:, e:]
+    ar_head: Node | None      # (m, H) W1 ar.proj, or W1, the LSTM row's map
+                              # into the MLP, autoregressive only
+    # the decoder LSTM's input pre-activations of every target id,
+    # emb_tgt ar.Wx^T + ar.b, autoregressive only (see Model.ar_context)
+    ar_in: Node | None        # (V, 4H)
     version: int              # the store's version at prepare
 
     @property
@@ -206,42 +206,53 @@ class Model:
             if copy_ids.min() < 0 or copy_ids.max() >= config.target_vocab:
                 raise ValueError("copy id map points outside the target vocabulary")
         self.copy_ids = copy_ids
-        layout = list(self._parameters())
-        self.store = ParameterStore((name, shape) for name, shape, _, read in layout
-                                    if read)
-        # weights are drawn in declared order straight into the store, and an
-        # array left out still takes its draws, into a throwaway; biases stay
-        # zero.  This is rng.uniform(-INIT_SCALE, INIT_SCALE) bit for bit
-        # (numpy draws lower + range * u), in about two thirds of its time
+        groups = list(self._parameters())
+        self.store = ParameterStore((name, shape) for _, read, arrays in groups
+                                    for name, shape, _ in arrays if read)
+        # each block of draws (see _parameters) is scattered once into the
+        # arrays it feeds, and a group left out still takes its draws; biases
+        # stay zero.  Drawing into the block is rng.uniform(-INIT_SCALE,
+        # INIT_SCALE) bit for bit (numpy draws lower + range * u), in about
+        # two thirds of its time
         rng = np.random.default_rng(config.seed)
-        for name, shape, drawn, read in layout:
-            if drawn:
-                value = self.store[name].value if read else np.empty(shape)
-                rng.random(out=value)
-                value *= 2 * INIT_SCALE
-                value -= INIT_SCALE
+        for drawn, read, arrays in groups:
+            if drawn is None:
+                continue
+            block = np.empty(drawn)
+            rng.random(out=block)
+            block *= 2 * INIT_SCALE
+            block -= INIT_SCALE
+            if read:
+                for name, _, take in arrays:
+                    self.store[name].value[...] = take(block)
 
     # -- parameter layout ---------------------------------------------------
 
-    def _parameters(self) -> Iterator[tuple[str, tuple, bool, bool]]:
-        """(name, shape, drawn, read) of every declared parameter, in draw
-        order: drawn weights start uniform in (-INIT_SCALE, INIT_SCALE),
-        biases at zero.  The store holds an array only when the configured
-        forward pass reads it: the contextual encoder's ctx.* arrays only
-        with skip_scale != 0, slot_emb only in the fertility-first order.
-        An array left out still takes its draws, so every kept array starts
-        from the same values whichever arrays the config leaves out."""
+    def _parameters(self) -> Iterator[tuple[tuple | None, bool,
+                                            list[tuple[str, tuple, Callable]]]]:
+        """(drawn, read, arrays) of every group of declared parameters, in
+        draw order.  drawn is the shape of the group's block of uniform
+        draws in (-INIT_SCALE, INIT_SCALE), or None for biases, which start
+        at zero; arrays holds (name, shape, take) for each array of the
+        group, take(block) being its starting value.  The store holds a
+        group's arrays only when the configured forward pass reads them:
+        the contextual encoder's ctx.* arrays only with skip_scale != 0,
+        slot_emb only in the fertility-first order.  A group left out
+        still takes its draws, so every kept array starts from the same
+        values whichever arrays the config leaves out.
+
+        Each weight is stored in the layout its op reads, but drawn as the
+        (out, in) matrix, or the per-direction [W_x W_h] pair of a BiLSTM,
+        that it was drawn as before that layout, and scattered from it."""
         cfg = self.config
         e = cfg.embedding_dim
         contextual = cfg.skip_scale != 0.0
 
-        def weight(name: str, shape: tuple,
-                   read: bool = True) -> tuple[str, tuple, bool, bool]:
-            return name, shape, True, read
+        def weight(name: str, shape: tuple, read: bool = True):
+            return shape, read, [(name, shape, lambda block: block)]
 
-        def bias(name: str, shape: tuple,
-                 read: bool = True) -> tuple[str, tuple, bool, bool]:
-            return name, shape, False, read
+        def bias(name: str, shape: tuple, read: bool = True):
+            return None, read, [(name, shape, None)]
 
         yield weight("emb_src", (cfg.source_vocab, e))
         yield weight("slot_emb", (cfg.max_fertility, e),
@@ -249,31 +260,41 @@ class Model:
         for tag, hidden, read in (("fert", cfg.fertility_hidden, True),
                                   ("reorder", cfg.reorder_hidden, True),
                                   ("ctx", cfg.context_hidden, contextual)):
-            for direction in ("fw", "bw"):
-                yield weight(f"{tag}.{direction}.W", (4 * hidden, e + hidden), read)
-                yield bias(f"{tag}.{direction}.b", (4 * hidden,), read)
+            # [W_x W_h] (4H, e + H) of the forward, then the backward direction
+            yield (2, 4 * hidden, e + hidden), read, [
+                (f"{tag}.Wx", (8 * hidden, e), lambda block, h=hidden: np.swapaxes(
+                    block[..., :e].reshape(2, 4, h, e), 0, 1).reshape(8 * h, e)),
+                (f"{tag}.Wh", (4, 2, hidden, hidden), lambda block, h=hidden: np.swapaxes(
+                    block[..., e:].reshape(2, 4, h, h), 0, 1))]
+            yield bias(f"{tag}.b", (8 * hidden,), read)
         if 2 * cfg.context_hidden != e:
             yield weight("ctx.proj", (e, 2 * cfg.context_hidden), contextual)
         yield weight("fert.mlp.W1", (cfg.fertility_mlp, 2 * cfg.fertility_hidden))
         yield bias("fert.mlp.b1", (cfg.fertility_mlp,))
         yield weight("fert.mlp.W2", (cfg.max_fertility + 1, cfg.fertility_mlp))
         yield bias("fert.mlp.b2", (cfg.max_fertility + 1,))
-        yield weight("span.mlp.W1", (cfg.span_mlp, 2 * cfg.reorder_hidden))
-        yield bias("span.mlp.b1", (cfg.span_mlp,))
-        yield weight("span.mlp.W2", (2, cfg.span_mlp))
+        # drawn (m, 2H); stored as (2, H, m), the two halves' projections
+        m, h = cfg.span_mlp, cfg.reorder_hidden
+        yield (m, 2 * h), True, [
+            ("span.mlp.W1", (2, h, m), lambda block: block.reshape(m, 2, h).transpose(1, 2, 0))]
+        yield bias("span.mlp.b1", (m,))
+        yield weight("span.mlp.W2", (2, m))
         yield bias("span.mlp.b2", (2,))
         yield weight("out.mlp.W1", (cfg.output_mlp, e))
         yield bias("out.mlp.b1", (cfg.output_mlp,))
-        yield weight("out.proj", (cfg.max_fertility, cfg.target_vocab, cfg.output_mlp))
+        yield weight("out.proj", (cfg.max_fertility * cfg.target_vocab, cfg.output_mlp))
         if cfg.decoder == "copy":
             yield weight("copy.gate.w", (cfg.output_mlp,))
             yield bias("copy.gate.b", (cfg.max_fertility,))
         if cfg.decoder == "autoregressive":
+            hd = cfg.decoder_hidden
             yield weight("emb_tgt", (cfg.target_vocab, e))
-            yield weight("ar.W", (4 * cfg.decoder_hidden, e + cfg.decoder_hidden))
-            yield bias("ar.b", (4 * cfg.decoder_hidden,))
-            if cfg.decoder_hidden != e:
-                yield weight("ar.proj", (e, cfg.decoder_hidden))
+            yield (4 * hd, e + hd), True, [
+                ("ar.Wx", (4 * hd, e), lambda block: block[:, :e]),
+                ("ar.Wh", (4 * hd, hd), lambda block: block[:, e:])]
+            yield bias("ar.b", (4 * hd,))
+            if hd != e:
+                yield weight("ar.proj", (e, hd))
 
     # -- recurrent encoders -------------------------------------------------
 
@@ -282,8 +303,7 @@ class Model:
         ad.bilstm node: row t is [h_fw_t; h_bw_t], the forward state after
         rows 0..t and the backward state covering rows t..T-1."""
         s = self.store
-        return ad.bilstm(inputs, s[tag + ".fw.W"], s[tag + ".fw.b"],
-                         s[tag + ".bw.W"], s[tag + ".bw.b"])
+        return ad.bilstm(inputs, s[tag + ".Wx"], s[tag + ".Wh"], s[tag + ".b"])
 
     # -- pipeline stages ----------------------------------------------------
 
@@ -301,16 +321,15 @@ class Model:
             return x, x
         ctx_states = self._bilstm("ctx", x)
         if "ctx.proj" in self.store:
-            ctx_states = ad.matmul(ctx_states, ad.transpose(self.store["ctx.proj"]))
+            ctx_states = ad.linear(ctx_states, self.store["ctx.proj"])
         return x, ctx_states * cfg.skip_scale + x
 
     def fertility_head(self, rows: Node) -> fertility.FertilityTable:
         """Fertility table of the given rows: a BiLSTM over them, then a
         per-row softmax over 0..d copies."""
         s = self.store
-        hid = ad.tanh(ad.matmul(self._bilstm("fert", rows), ad.transpose(s["fert.mlp.W1"]))
-                      + s["fert.mlp.b1"])
-        logits = ad.matmul(hid, ad.transpose(s["fert.mlp.W2"])) + s["fert.mlp.b2"]
+        hid = ad.tanh(ad.linear(self._bilstm("fert", rows), s["fert.mlp.W1"], s["fert.mlp.b1"]))
+        logits = ad.linear(hid, s["fert.mlp.W2"], s["fert.mlp.b2"])
         return fertility.FertilityTable(
             ad.softmax(logits, tau=self.config.temperature, axis=-1))
 
@@ -325,20 +344,17 @@ class Model:
         """Orientation scores for every span of the given sequence: the span
         MLP over the fencepost differences of _span_incidence.  Its first
         layer is linear in them, so the (L, 2, H) BiLSTM rows are projected
-        once through span.mlp.W1 as (m, 2, H), each half through its own
-        columns, and one incidence product gives every span's
-        pre-activation."""
+        once, each half through its own (H, m) block of span.mlp.W1, and
+        one incidence product gives every span's pre-activation."""
         length = seq.shape[0]
         if length == 1:
             return reordering.SpanScores(1, ad.constant(np.zeros((0, 2))))
         s, cfg = self.store, self.config
         states = ad.reshape(self._bilstm("reorder", seq), (length, 2, cfg.reorder_hidden))
-        w1 = ad.reshape(s["span.mlp.W1"], (cfg.span_mlp, 2, cfg.reorder_hidden))
-        proj = ad.matmul(ad.transpose(states, (1, 0, 2)), ad.transpose(w1, (1, 2, 0)))
+        proj = ad.matmul(ad.transpose(states, (1, 0, 2)), s["span.mlp.W1"])
         pre = ad.matmul(_span_incidence(length), ad.reshape(proj, (2 * length, cfg.span_mlp)))
         hid = ad.tanh(pre + s["span.mlp.b1"])
-        return reordering.SpanScores(
-            length, ad.matmul(hid, ad.transpose(s["span.mlp.W2"])) + s["span.mlp.b2"])
+        return reordering.SpanScores(length, ad.linear(hid, s["span.mlp.W2"], s["span.mlp.b2"]))
 
     def mixing_weights(self, slot_weights: Node, perm_matrix: Node) -> Node:
         """Joint structure weights as a (length, n*d) matrix M, from the
@@ -363,17 +379,19 @@ class Model:
         rows is 1 for the position-independent decoders and one per
         decoder LSTM row (rows, H) of ar_states otherwise.  The output MLP
         is affine in the AR row before its tanh, so its hidden layer is
-        tanh(head + ar_states ar_head) with both terms built in prepare.
+        tanh(head + ar_states ar_head^T) with both terms built in prepare.
+        out.proj (d*V, m) maps it to the logits, row u*V + y for token y in
+        copy slot u.
         """
         cfg = self.config
         d, vocab = cfg.max_fertility, cfg.target_vocab
         n = prep.source_ids.shape[0]
         pre = prep.head
         if ar_states is not None:
-            ar_term = ad.matmul(ar_states, prep.ar_head)
+            ar_term = ad.linear(ar_states, prep.ar_head)
             pre = pre + ad.reshape(ar_term, (-1, 1, cfg.output_mlp))
         feats = ad.tanh(pre)
-        logits = ad.reshape(ad.matmul(feats, prep.proj), (-1, n * d, vocab))
+        logits = ad.reshape(ad.linear(feats, self.store["out.proj"]), (-1, n * d, vocab))
         probs = ad.softmax(logits, axis=-1)
         if cfg.decoder == "copy":
             onehot = np.zeros((n * d, vocab))
@@ -397,16 +415,17 @@ class Model:
         """Run the decoder LSTM over prev_ids from state, a constant (2H,)
         row [h; c] (zeros when omitted): the rows of prep.ar_in at the ids
         are the input pre-activations, so a step is a row lookup and the
-        recurrence.
+        recurrence through ar.Wh.
 
         Returns the LSTM rows (len(prev_ids), H), which token_distributions
         reads: the row after token t conditions the position after t.
-        Also returns the [h; c] row to continue from.  The ids are not
-        range-checked here: complete checks target ids, and greedy ids are
-        argmaxes over the vocabulary.
+        Also returns the [h; c] rows (len(prev_ids) + 1, 2H) of ad.lstm:
+        row k is the state after the first k ids, and can start a later
+        call.  The ids are not range-checked here: complete checks target
+        ids, and greedy ids are argmaxes over the vocabulary.
         """
         ids = np.asarray(prev_ids, dtype=np.intp)
-        return ad.lstm(ad.slice_(prep.ar_in, ids), prep.ar_rec, state)
+        return ad.lstm(ad.slice_(prep.ar_in, ids), self.store["ar.Wh"], state)
 
     # -- orchestration ------------------------------------------------------
 
@@ -421,20 +440,15 @@ class Model:
         if cfg.composition == "reorder-first":
             perm = reordering.expected_permutation(self.reordering_scores(x))
             rows = ad.matmul(ad.transpose(perm), x)
-        w1_t = ad.transpose(s["out.mlp.W1"])
-        head = ad.matmul(context, w1_t) + s["out.mlp.b1"]
-        proj = ad.transpose(ad.reshape(
-            s["out.proj"], (cfg.max_fertility * cfg.target_vocab, cfg.output_mlp)))
-        ar_head = ar_in = ar_rec = None
+        head = ad.linear(context, s["out.mlp.W1"], s["out.mlp.b1"])
+        ar_head = ar_in = None
         if cfg.decoder == "autoregressive":
-            # ar.proj has no bias, so it folds into W1: (W1 ar.proj)^T
-            ar_head = (ad.transpose(ad.matmul(s["out.mlp.W1"], s["ar.proj"]))
-                       if "ar.proj" in s else w1_t)
-            w_in = ad.slice_(s["ar.W"], (slice(None), slice(None, cfg.embedding_dim)))
-            ar_in = ad.matmul(s["emb_tgt"], ad.transpose(w_in)) + s["ar.b"]
-            ar_rec = ad.slice_(s["ar.W"], (slice(None), slice(cfg.embedding_dim, None)))
-        return Prepared(ids, x, self.fertility_head(rows), perm, head, proj, ar_head,
-                        ar_in, ar_rec, s.version)
+            # ar.proj has no bias, so it folds into W1
+            ar_head = (ad.matmul(s["out.mlp.W1"], s["ar.proj"]) if "ar.proj" in s
+                       else s["out.mlp.W1"])
+            ar_in = ad.linear(s["emb_tgt"], s["ar.Wx"], s["ar.b"])
+        return Prepared(ids, x, self.fertility_head(rows), perm, head, ar_head, ar_in,
+                        s.version)
 
     def structure(self, prep: Prepared, length: int) -> Structure:
         """The target-independent stages for one candidate output length."""
@@ -470,9 +484,10 @@ class Model:
         are taken on plain values.  When none differs from the guess, every
         position is decided.  Otherwise positions s..j are decided, j being
         the first that differs, with its new argmax; the later positions
-        take theirs as the next guess, one more ar_context carries the
-        state over the newly decided ids, and the next pass starts at j+1.
-        Each pass decides at least one position, so there are at most
+        take theirs as the next guess, and the next pass starts at j+1 from
+        the pass's own [h; c] row after the ids of positions s..j, which
+        were the pass's inputs too.  So each pass is one ar_context call,
+        and each decides at least one position, so there are at most
         length - 1 passes.  The rows then come from one output_distributions
         call over the decided positions' tables, the call teacher forcing
         makes, so greedy rows are the teacher-forced rows of the greedy
@@ -502,7 +517,7 @@ class Model:
                 for _ in range(length):
                     if start == length:
                         break
-                    rows, _ = self.ar_context(prep, tokens[start - 1:-1], state)
+                    rows, states = self.ar_context(prep, tokens[start - 1:-1], state)
                     table = self.token_distributions(prep, rows)
                     new = np.argmax(np.matmul(mixing[start:, None], table.value)[:, 0],
                                     axis=1)
@@ -513,7 +528,7 @@ class Model:
                         tables.append(table)
                     else:
                         tables.append(ad.slice_(table, slice(0, end - start)))
-                        state = self.ar_context(prep, tokens[start - 1:end - 1], state)[1]
+                        state = states[end - start]
                     start = end
                 return st, self.output_distributions(ad.concat(tables, axis=0), st.mixing)
             ar_states = ad.concat([zero, self.ar_context(prep, ids[:-1])[0]], axis=0)

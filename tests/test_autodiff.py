@@ -49,13 +49,34 @@ def saturated_lstm_arrays(rng):
     return x, w * scale, b * scale
 
 
-def bilstm_by_directions(x, w_fw, b_fw, w_bw, b_bw):
-    """A BiLSTM composed of two lstm nodes: the backward one runs over the
-    reversed rows, and its hidden rows are reversed back."""
+def bilstm_by_directions(x, wx, wh, b):
+    """A BiLSTM composed of two lstm nodes, each over its direction's slices
+    of bilstm's gate-major weights: the backward one runs over the reversed
+    rows, and its hidden rows are reversed back."""
+    hdim, dim = wh.shape[-1], x.shape[1]
     reverse = slice(None, None, -1)
-    fwd = lstm_over_rows(x, w_fw, b_fw)[0]
-    bwd = lstm_over_rows(ad.slice_(x, reverse), w_bw, b_bw)[0]
+
+    def direction(d, rows):
+        w_x = ad.reshape(ad.slice_(ad.reshape(wx, (4, 2, hdim, dim)), (slice(None), d)),
+                         (4 * hdim, dim))
+        b_d = ad.reshape(ad.slice_(ad.reshape(b, (4, 2, hdim)), (slice(None), d)), (-1,))
+        w_h = ad.reshape(ad.slice_(wh, (slice(None), d)), (4 * hdim, hdim))
+        return ad.lstm(ad.linear(rows, w_x, b_d), w_h)[0]
+
+    fwd = direction(0, x)
+    bwd = direction(1, ad.slice_(x, reverse))
     return ad.concat([fwd, ad.slice_(bwd, reverse)], axis=1)
+
+
+def bilstm_weights(w_fw, b_fw, w_bw, b_bw):
+    """bilstm's (wx, wh, b) from each direction's [W_x W_h] and bias."""
+    hdim = b_fw.shape[0] // 4
+    dim = w_fw.shape[1] - hdim
+    directions = ((w_fw, b_fw), (w_bw, b_bw))
+    wx = np.stack([w[:, :dim].reshape(4, hdim, dim) for w, _ in directions], axis=1)
+    wh = np.stack([w[:, dim:].reshape(4, hdim, hdim) for w, _ in directions], axis=1)
+    b = np.stack([bias.reshape(4, hdim) for _, bias in directions], axis=1)
+    return wx.reshape(8 * hdim, dim), wh, b.reshape(-1)
 
 
 class TestForwardValues:
@@ -131,11 +152,13 @@ class TestForwardValues:
         x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(16, 7)), rng.normal(size=16)
         h0, c0 = rng.normal(size=4), rng.normal(size=4)
         for start in (None, np.concatenate([h0, c0])):
-            out, state = lstm_over_rows(ad.constant(x), ad.constant(w), ad.constant(b),
-                                        start)
+            out, states = lstm_over_rows(ad.constant(x), ad.constant(w), ad.constant(b),
+                                         start)
             want = lstm_per_step(x, w, b, *(() if start is None else (h0, c0)))
             np.testing.assert_allclose(out.value, want[:, :4], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(state, want[-1], rtol=0, atol=1e-12)
+            # the [h; c] row after every step, after the start row
+            np.testing.assert_array_equal(states[0], 0.0 if start is None else start)
+            np.testing.assert_allclose(states[1:], want, rtol=0, atol=1e-12)
         # the start state is a plain (2H,) array, never a tape node
         for bad in (np.zeros(7), np.zeros((1, 8)), ad.constant(np.zeros(8))):
             with pytest.raises(ad.ShapeError, match="lstm"):
@@ -151,10 +174,10 @@ class TestForwardValues:
         x, w, b = saturated_lstm_arrays(rng)
         start = rng.normal(size=8)
         nodes = [ad.parameter(a) for a in (x, w, b)]
-        out, state = lstm_over_rows(*nodes, start)
+        out, states = lstm_over_rows(*nodes, start)
         want = lstm_per_step(x, w, b, start[:4], start[4:])
         np.testing.assert_allclose(out.value, want[:, :4], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state, want[-1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(states[1:], want, rtol=0, atol=1e-12)
         ad.backward(ad.sum_(out * ad.constant(rng.normal(size=out.shape))))
         for node in nodes:
             assert node.grad is not None and np.isfinite(node.grad).all()
@@ -171,7 +194,7 @@ class TestForwardValues:
         upstream = rng.normal(size=(steps, 8))
 
         def run(op):
-            nodes = [ad.parameter(a) for a in (x, w_fw, b_fw, w_bw, b_bw)]
+            nodes = [ad.parameter(a) for a in (x, *bilstm_weights(w_fw, b_fw, w_bw, b_bw))]
             out = op(*nodes)
             ad.backward(ad.sum_(out * ad.constant(upstream)))
             return [out.value] + [node.grad for node in nodes]
@@ -183,13 +206,14 @@ class TestForwardValues:
         monkeypatch.setattr(ad, "_GATE_SCALES", {})
         rng = np.random.default_rng(8)
         x = rng.normal(size=(5, 3))
-        arrays = [rng.normal(size=s) for s in ((16, 7), 16, (16, 7), 16)]
+        # lstm's [W_x W_h] and b, then bilstm's wx, wh and b; H = 4
+        arrays = [rng.normal(size=s) for s in ((16, 7), 16, (32, 3), (4, 2, 4, 4), 32)]
         upstream = rng.normal(size=(5, 8))
 
         def run():
             nodes = [ad.parameter(a) for a in [x] + arrays]
             out, state = lstm_over_rows(*nodes[:3])
-            both = ad.bilstm(*nodes)
+            both = ad.bilstm(nodes[0], *nodes[3:])
             ad.backward(ad.sum_(out * ad.constant(upstream[:, :4]))
                         + ad.sum_(both * ad.constant(upstream)))
             return [out.value, state, both.value] + [node.grad for node in nodes]
@@ -211,9 +235,9 @@ class TestForwardValues:
         nodes = [ad.parameter(a) for a in
                  (np.zeros((0, 3)), rng.normal(size=(16, 7)), rng.normal(size=16))]
         start = rng.normal(size=8)
-        out, state = lstm_over_rows(*nodes, start)
+        out, states = lstm_over_rows(*nodes, start)
         assert out.shape == (0, 4)
-        np.testing.assert_array_equal(state, start)
+        np.testing.assert_array_equal(states, [start])
         ad.backward(ad.sum_(out))
         for node in nodes:
             assert node.grad.shape == node.shape
@@ -264,16 +288,21 @@ class TestBackward:
         assert checks.run_case("mlp", build, [w1, b1, w2, x], tol=1e-5).ok
 
     def test_lstm_rows_one_call_at_a_time_equal_one_call(self):
-        # the greedy decoder feeds one row per call, carrying [h; c]
+        # the greedy decoder resumes from a row of an earlier call's [h; c]
         rng = np.random.default_rng(4)
-        x, w, b = [ad.constant(rng.normal(size=s)) for s in ((6, 3), (16, 7), 16)]
-        whole, final = lstm_over_rows(x, w, b)
+        zx, wh = rng.normal(size=(6, 16)), rng.normal(size=(16, 4))
+        whole, states = ad.lstm(ad.constant(zx), ad.constant(wh))
         rows, state = [], None
         for t in range(6):
-            row, state = lstm_over_rows(ad.slice_(x, slice(t, t + 1)), w, b, state)
+            row, carried = ad.lstm(ad.constant(zx[t:t + 1]), ad.constant(wh), state)
             rows.append(row.value)
-        np.testing.assert_allclose(np.concatenate(rows), whole.value, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state, final, rtol=0, atol=1e-12)
+            state = carried[-1]
+        np.testing.assert_array_equal(np.concatenate(rows), whole.value)
+        np.testing.assert_array_equal(state, states[-1])
+        for k in range(7):
+            rest, after = ad.lstm(ad.constant(zx[k:]), ad.constant(wh), states[k])
+            np.testing.assert_array_equal(rest.value, whole.value[k:])
+            np.testing.assert_array_equal(after, states[k:])
 
     def test_no_grad_suppresses_tape(self):
         x = ad.parameter(np.ones(2))

@@ -569,6 +569,36 @@ class TestCheckpointFiles:
         assert err.startswith("error: ") and "model.ckpt" in err and "'ctx.fw.W'" in err
         assert not (tmp_path / "pred.jsonl").exists()
 
+    def test_checkpoint_in_the_per_direction_layout_is_refused(self, tmp_path, corpus,
+                                                               trained, capsys):
+        # checkpoints written before each weight took the layout its op reads:
+        # per-direction [W_x W_h] and bias of each BiLSTM, span.mlp.W1 as
+        # (m, 2H) and out.proj as (d, V, m); e = 6, H = m = 4, d = 2
+        _, ckpt = trained
+        arrays = ad.ParameterStore.read_arrays(ckpt)
+        vocab = arrays["out.proj"].shape[0] // 2
+        layout = [("emb_src", arrays["emb_src"].shape), ("slot_emb", (2, 6))] + [
+            (f"{tag}.{d}.{p}", (16, 10) if p == "W" else (16,))
+            for tag in ("fert", "reorder") for d in ("fw", "bw") for p in ("W", "b")] + [
+            ("fert.mlp.W1", (4, 8)), ("fert.mlp.b1", (4,)), ("fert.mlp.W2", (3, 4)),
+            ("fert.mlp.b2", (3,)), ("span.mlp.W1", (4, 8)), ("span.mlp.b1", (4,)),
+            ("span.mlp.W2", (2, 4)), ("span.mlp.b2", (2,)), ("out.mlp.W1", (4, 6)),
+            ("out.mlp.b1", (4,)), ("out.proj", (2, vocab, 4))]
+        old = tmp_path / "old.ckpt"
+        ad.ParameterStore(layout).save(old)
+        model, _, _ = load_checkpoint(ckpt)
+        before = model.store.state_arrays()
+        with pytest.raises(ad.UsageError) as caught:
+            model.store.restore(old)
+        assert str(caught.value) == f"{old}: unexpected array 'fert.fw.W'"
+        for name, arr in before.items():
+            np.testing.assert_array_equal(model.store[name].value, arr)
+        assert self.predict_with(tmp_path, corpus, ckpt, old.read_bytes()) == 1
+        err = capsys.readouterr().err
+        bad = tmp_path / "bad" / "model.ckpt"
+        assert err == f"error: {bad}: unexpected array 'fert.fw.W'\n"
+        assert not (tmp_path / "pred.jsonl").exists()
+
     def test_failed_save_keeps_the_previous_checkpoint(self, trained,
                                                        monkeypatch):
         _, ckpt = trained

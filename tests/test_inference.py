@@ -324,21 +324,27 @@ class TestPredictAutoregressive:
                 ids[i] = np.argmax(rows[i])
             return ids.tolist(), rows
 
-        calls = []
-        ar_context = Model.ar_context
+        calls, lstm_calls = [], []
+        ar_context, lstm = Model.ar_context, ad.lstm
 
         def recorded(self, prep, prev_ids, state=None):
             calls.append(len(prev_ids))
             return ar_context(self, prep, prev_ids, state)
 
+        def recorded_lstm(zx, wh, state=None):
+            lstm_calls.append(zx.shape[0])
+            return lstm(zx, wh, state)
+
         monkeypatch.setattr(Model, "ar_context", recorded)
+        monkeypatch.setattr(ad, "lstm", recorded_lstm)
         rng = np.random.default_rng(hidden)
         passes = []
         for seed in range(5):
             # sharp tables and a strong decoder LSTM, so guesses often miss
             m = self.ar_model(seed=seed, sharp=True, composition=composition,
                               decoder_hidden=hidden)
-            m.store["ar.W"].value *= 5.0
+            m.store["ar.Wx"].value *= 5.0
+            m.store["ar.Wh"].value *= 5.0
             m.store["emb_tgt"].value *= 5.0
             for n in (2, 3, 4):
                 src = [int(t) for t in rng.integers(0, 4, size=n)]
@@ -346,11 +352,12 @@ class TestPredictAutoregressive:
                     prep = m.prepare(src)
                     for length in feasible_lengths(m, src):
                         calls.clear()
+                        lstm_calls.clear()
                         rows = m.complete(prep, length)[1].value
-                        # one call per pass, and one more carrying the state
-                        # after each pass but the last
-                        assert len(calls) % 2 == 1 or not calls
-                        count = (len(calls) + 1) // 2
+                        # one ar_context call and one lstm call per pass: the
+                        # next pass starts from a state row of the last one
+                        count = len(calls)
+                        assert lstm_calls == calls
                         assert count <= length and (count > 0) == (length > 1)
                         passes.append(count)
                         tokens, want = one_position_per_call(m, prep, length)

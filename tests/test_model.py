@@ -41,12 +41,16 @@ class TestCheckpoint:
         m = mirror_model()
         # skip_scale 0: the contextual encoder's ctx.* arrays are left out
         names = ["emb_src", "slot_emb"] + [
-            f"{tag}.{d}.{p}" for tag in ("fert", "reorder")
-            for d in ("fw", "bw") for p in ("W", "b")] + [
+            f"{tag}.{p}" for tag in ("fert", "reorder") for p in ("Wx", "Wh", "b")] + [
             "fert.mlp.W1", "fert.mlp.b1", "fert.mlp.W2", "fert.mlp.b2",
             "span.mlp.W1", "span.mlp.b1", "span.mlp.W2", "span.mlp.b2",
             "out.mlp.W1", "out.mlp.b1", "out.proj"]
         assert [name for name, _ in m.store.items()] == names
+        # e = 24, fertility H = 24, reorder H = 32, span m = 32, d = 2, V = 11
+        shapes = {"fert.Wx": (192, 24), "fert.Wh": (4, 2, 24, 24), "fert.b": (192,),
+                  "reorder.Wx": (256, 24), "reorder.Wh": (4, 2, 32, 32),
+                  "reorder.b": (256,), "span.mlp.W1": (2, 32, 32), "out.proj": (22, 32)}
+        assert {name: m.store[name].shape for name in shapes} == shapes
         assert m.store.values.size == 29213
         # magic, version u32, count u64, then per parameter: name length
         # u32, utf-8 name, ndim u32, dims u64, float64 payload; little-endian
@@ -76,13 +80,40 @@ class TestParameters:
             np.testing.assert_array_equal(param.value, full.store[name].value)
 
     def test_arrays_follow_the_config(self):
-        ctx = {"ctx.fw.W", "ctx.fw.b", "ctx.bw.W", "ctx.bw.b", "ctx.proj"}
+        ctx = {"ctx.Wx", "ctx.Wh", "ctx.b", "ctx.proj"}
         reorder_first = mirror_model(composition="reorder-first").store
         assert not ({"slot_emb"} | ctx) & reorder_first.state_arrays().keys()
         assert reorder_first.values.size == 29165
         contextual = mirror_model(skip_scale=0.5).store
         assert ctx | {"slot_emb"} <= contextual.state_arrays().keys()
         assert contextual.values.size == 29213 + 10560
+
+
+class TestTape:
+    def test_mirror_a_train_step_node_budget(self, monkeypatch):
+        # every affine layer is one linear node and every weight is stored
+        # in the layout its op reads: 41 nodes per step (53 when weights
+        # were re-laid out through transpose and reshape views), and no
+        # parameter feeds a view
+        m = mirror_model()
+        train_cfg = training.TrainConfig.from_dict(
+            json.loads(MIRROR_A.read_text(encoding="utf-8"))["training"])
+        params = {id(p): name for name, p in m.store.items()}
+        ops, viewed = [], []
+        make_node = ad.make_node
+
+        def recording(value, parents, backward_fn):
+            op = backward_fn.__qualname__.split(".")[0]
+            ops.append(op)
+            if op in ("transpose", "reshape"):
+                viewed.extend(params[id(p)] for p in parents if id(p) in params)
+            return make_node(value, parents, backward_fn)
+
+        monkeypatch.setattr(ad, "make_node", recording)
+        src = np.array([0, 3, 1, 4, 2])
+        training.train_step(m, training.Adam(m.store, train_cfg), train_cfg, src,
+                            np.concatenate([src, src[::-1]]), None, epoch=1, index=0)
+        assert len(ops) <= 41 and ops.count("linear") == 5 and viewed == []
 
 
 class TestConfig:
@@ -134,16 +165,37 @@ class TestEncode:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_weights_are_seeded_uniform_draws_and_biases_zero(self):
+        # each weight is drawn in the order and shape it had before it was
+        # stored in the layout its op reads, then scattered into that layout
         cfg = tiny_config(decoder="autoregressive", decoder_hidden=5)
         rng = np.random.default_rng(cfg.seed)
+
+        def draw(*shape):
+            return rng.uniform(-md.INIT_SCALE, md.INIT_SCALE, shape)
+
+        want = {"emb_src": draw(5, 4), "slot_emb": draw(2, 4)}
+        for tag in ("fert", "reorder", "ctx"):  # [W_x W_h] (4H, e + H) per direction
+            fw, bw = draw(12, 7), draw(12, 7)
+            want[f"{tag}.Wx"] = np.stack([w[:, :4].reshape(4, 3, 4) for w in (fw, bw)],
+                                         axis=1).reshape(24, 4)
+            want[f"{tag}.Wh"] = np.stack([w[:, 4:].reshape(4, 3, 3) for w in (fw, bw)],
+                                         axis=1)
+        want["ctx.proj"], want["fert.mlp.W1"], want["fert.mlp.W2"] = (
+            draw(4, 6), draw(4, 6), draw(3, 4))
+        want["span.mlp.W1"] = draw(4, 6).reshape(4, 2, 3).transpose(1, 2, 0)
+        want["span.mlp.W2"], want["out.mlp.W1"] = draw(2, 4), draw(4, 4)
+        want["out.proj"], want["emb_tgt"] = draw(2, 6, 4).reshape(12, 4), draw(6, 4)
+        ar = draw(20, 9)
+        want["ar.Wx"], want["ar.Wh"], want["ar.proj"] = ar[:, :4], ar[:, 4:], draw(4, 5)
         for name, node in md.Model(cfg).store.items():
             if name.split(".")[-1].startswith("b"):
                 np.testing.assert_array_equal(node.value, 0.0)
             else:
-                # store order is draw order; the bits must match exactly
-                want = rng.uniform(-md.INIT_SCALE, md.INIT_SCALE, node.shape)
-                np.testing.assert_array_equal(node.value.view(np.int64),
-                                              want.view(np.int64))
+                # the bits must match exactly
+                np.testing.assert_array_equal(
+                    node.value.view(np.int64),
+                    np.ascontiguousarray(want.pop(name)).view(np.int64))
+        assert want == {}
 
 
 class TestFertilityHead:
@@ -242,7 +294,8 @@ class TestReorderingScores:
             bb = np.concatenate([states[:, 3:], zero])
             feats = np.array([np.concatenate([ff[j] - ff[i], bb[i] - bb[j]])
                               for i, j in reordering.spans(length)])
-            want = np.tanh(feats @ w1.T + b1) @ w2.T + b2
+            # w1 (2, H, m) holds the columns of each half's features
+            want = np.tanh(feats @ w1.reshape(6, 4) + b1) @ w2.T + b2
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_incidence_is_cached_and_read_only(self):
@@ -254,9 +307,9 @@ class TestReorderingScores:
         assert md._span_incidence(md._INCIDENCE_CACHE_LENGTHS + 1) is not long
 
     def test_node_budget(self, monkeypatch):
-        # bilstm, two reshapes and two transposes into the batched
-        # projection, its reshape and the incidence product, then b1, tanh,
-        # transpose of W2, product and b2
+        # bilstm, the reshape and transpose of its rows, the batched
+        # projection through span.mlp.W1 as stored, its reshape and the
+        # incidence product, then b1, tanh and the linear W2 layer
         m = md.Model(tiny_config())
         made = [0]
         make_node = ad.make_node
@@ -270,7 +323,7 @@ class TestReorderingScores:
         for length in (2, 5, 9):
             made[0] = 0
             m.reordering_scores(ad.parameter(rng.normal(size=(length, 4))))
-            assert made[0] == 13
+            assert made[0] == 9
 
 
 class TestTransduction:
@@ -346,7 +399,8 @@ def head_oracle(m: md.Model, prep: md.Prepared, h=None) -> np.ndarray:
         h_emb = h @ s["ar.proj"].value.T if "ar.proj" in s else h
         inp = inp + h_emb[:, None, :]
     feats = np.tanh(inp @ s["out.mlp.W1"].value.T + s["out.mlp.b1"].value)
-    logits = np.einsum("rjm,uym->rjuy", feats, s["out.proj"].value)
+    proj = s["out.proj"].value.reshape(cfg.max_fertility, cfg.target_vocab, -1)
+    logits = np.einsum("rjm,uym->rjuy", feats, proj)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
     if cfg.decoder == "copy":
@@ -422,18 +476,21 @@ class TestOutputHead:
         # decoder_hidden 4 == embedding_dim leaves out ar.proj, 5 keeps it
         m = md.Model(tiny_config(decoder="autoregressive", decoder_hidden=hidden))
         assert ("ar.proj" in m.store) == (hidden == 5)
-        weights = {id(m.store[name]) for name in ("ar.W", "ar.b", "emb_tgt")}
+        # the input terms come from prepare's table; the lstm op reads ar.Wh
+        # as stored
+        weights = {id(m.store[name]): name for name in ("ar.Wx", "ar.Wh", "ar.b", "emb_tgt")}
         prep = m.prepare([0, 2, 4, 1])
         readers = []
         make_node = ad.make_node
 
         def recording(value, parents, backward_fn):
-            readers.extend(p for p in parents if id(p) in weights)
+            readers.extend((weights[id(p)], backward_fn.__qualname__.split(".")[0])
+                           for p in parents if id(p) in weights)
             return make_node(value, parents, backward_fn)
 
         monkeypatch.setattr(ad, "make_node", recording)
         _, rows = m.complete(prep, 6)
-        assert rows.shape == (6, 6) and readers == []
+        assert rows.shape == (6, 6) and set(readers) == {("ar.Wh", "lstm")}
 
 
 class TestStalePrepared:

@@ -362,7 +362,7 @@ class TestTrainLoop:
 
         def poisoned(root):
             backward(root)
-            m.store["out.proj"].grad[0, 0, 0] = bad
+            m.store["out.proj"].grad[0, 0] = bad
 
         monkeypatch.setattr(ad, "backward", poisoned)
         src = np.array([0, 2, 1])
