@@ -92,9 +92,7 @@ class TestParameters:
 class TestTape:
     def test_mirror_a_train_step_node_budget(self, monkeypatch):
         # every affine layer is one linear node and every weight is stored
-        # in the layout its op reads: 41 nodes per step (53 when weights
-        # were re-laid out through transpose and reshape views), and no
-        # parameter feeds a view
+        # in the layout its op reads, so no parameter feeds a view
         m = mirror_model()
         train_cfg = training.TrainConfig.from_dict(
             json.loads(MIRROR_A.read_text(encoding="utf-8"))["training"])
